@@ -7,15 +7,23 @@ words), so adding a language means writing a parameter file, not code.
 The pipeline first finds complete numeric dates (``13/02/03``,
 ``31.5.2003``), infers whether the document writes day-month-year or
 month-day-year, then anchors on month names and scans both sides for the
-remaining parts.  Matches carry character offset, length and a typed
-normal form; relative expressions can be resolved against a reference
-date.
+remaining parts.  Each left-context search is bounded by token count: it
+looks only as many separator-delimited tokens back from the month as the
+lexicon's longest connector, day surface, year and pre-modifier could
+fill, which finds the same match as a search over the whole prefix.
+Overlaps between candidates are resolved against sorted spans, so
+extraction takes time linear in document length.  Matches carry character
+offset, length and a typed normal form; relative expressions can be
+resolved against a reference date.
 """
 
 from __future__ import annotations
 
+import bisect
 import calendar
 import datetime
+import functools
+import operator
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -120,6 +128,10 @@ class DateLexicon:
     number_words: dict      # surface -> integer value (0 = join word)
     post_modifiers: dict    # reserved; shipped empty
 
+    @functools.cached_property
+    def _scanner(self):
+        return _Scanner(self)
+
 
 # --------------------------------------------------------------------------
 # lexicon file parsing
@@ -183,7 +195,10 @@ def load_date_lexicon(path) -> DateLexicon:
 
     day_ordinals = {}
     for lineno, key, value in keyvals("day_ordinals"):
-        idx = int(key)
+        try:
+            idx = int(key)
+        except ValueError as exc:
+            raise LoadError("%s:%d: day index %r" % (path, lineno, key)) from exc
         if not 1 <= idx <= 31:
             raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, idx))
         day_ordinals.setdefault(idx, []).extend(s for s in value.split("|") if s)
@@ -262,7 +277,7 @@ def _day_ok(month: int, day: int) -> bool:
 def find_numeric_dates(text: str):
     """Complete numeric date candidates with their possible field orders."""
     candidates = []
-    taken = []
+    taken = []              # ISO spans, sorted and disjoint
     for m in _RE_NUM_YMD.finditer(text):
         f1, sep, f2, f3 = m.group(1), m.group(2), m.group(3), m.group(4)
         candidates.append(NumericCandidate(
@@ -270,8 +285,11 @@ def find_numeric_dates(text: str):
             f1=f1, sep=sep, f2=f2, f3=f3, ymd=True,
             dmy_possible=False, mdy_possible=False))
         taken.append((m.start(), m.end()))
+    i = 0
     for m in _RE_NUM_GEN.finditer(text):
-        if any(m.start() < e and m.end() > s for s, e in taken):
+        while i < len(taken) and taken[i][1] <= m.start():
+            i += 1
+        if i < len(taken) and taken[i][0] < m.end():
             continue
         f1, sep, f2, f3 = m.group(1), m.group(2), m.group(3), m.group(4)
         a, b = int(f1), int(f2)
@@ -320,6 +338,13 @@ class LexicalCandidate:
 
 def _alt(surfaces):
     return "|".join(re.escape(s) for s in sorted(surfaces, key=len, reverse=True))
+
+
+_RE_TOKEN = re.compile(r"[^\s,-]+")
+
+
+def _max_tokens(surfaces):
+    return max((len(_RE_TOKEN.findall(s)) for s in surfaces), default=0)
 
 
 class _Scanner:
@@ -375,6 +400,27 @@ class _Scanner:
         else:
             self.re_relday = None
 
+        # The most separator-delimited tokens a match of re_day_left,
+        # re_year_left or re_premod can hold; a year is one token.
+        conn_tokens = _max_tokens(lexicon.connectors)
+        left_tokens = max(2 * conn_tokens + max(_max_tokens(self.day_of), 1),
+                          1 + conn_tokens, _max_tokens(lexicon.pre_modifiers))
+        # Matched on the reversed text: one more token than that.
+        self.re_left_window = re.compile(
+            r"[\s,-]*[^\s,-]+(?:[\s,-]+[^\s,-]+){%d}" % left_tokens)
+
+    def search_left(self, pattern, text, rev, end):
+        """``pattern.search(text[:end])`` for a ``\\Z``-anchored left pattern.
+
+        The search runs over the window before ``end`` that holds one token
+        more than any match can.  A match starting before the window would
+        hold every token in it, so the leftmost match is the same as over
+        the whole prefix; lookbehinds still see the text before the window.
+        ``rev`` is ``text`` reversed.
+        """
+        w = self.re_left_window.match(rev, len(text) - end)
+        return pattern.search(text, 0 if w is None else len(text) - w.end(), end)
+
     def parse_day(self, surface: str):
         if surface in self.day_of:
             return self.day_of[surface]
@@ -423,23 +469,13 @@ def _group_tens(vals):
     return out
 
 
-_SCANNER_CACHE = {}
-
-
-def _scanner(lexicon: DateLexicon) -> _Scanner:
-    scanner = _SCANNER_CACHE.get(id(lexicon))
-    if scanner is None or scanner.lexicon is not lexicon:
-        scanner = _Scanner(lexicon)
-        _SCANNER_CACHE[id(lexicon)] = scanner
-    return scanner
-
-
 def find_lexical_dates(text: str, lexicon: DateLexicon):
     """Month-anchored and relative-day candidates (not yet validated)."""
-    sc = _scanner(lexicon)
+    sc = lexicon._scanner
+    rev = text[::-1]
     candidates = []
     for m in sc.re_month.finditer(text):
-        cand = _scan_month(text, m, sc)
+        cand = _scan_month(text, rev, m, sc)
         if cand is not None:
             candidates.append(cand)
     if sc.re_relday is not None:
@@ -452,20 +488,20 @@ def find_lexical_dates(text: str, lexicon: DateLexicon):
     return candidates
 
 
-def _scan_month(text, m, sc: _Scanner):
+def _scan_month(text, rev, m, sc: _Scanner):
     month = sc.month_of[m.group(1)]
     start, end = m.start(1), m.end(1)
-    left = text[:start]
+    anchor = start
     day = year = rel_year = None
     spelled_thousand = False
 
-    lm = sc.re_day_left.search(left)
+    lm = sc.search_left(sc.re_day_left, text, rev, anchor)
     if lm is not None:
         parsed = sc.parse_day(lm.group(2))
         if parsed is not None:
             day = parsed
             start = lm.start(1) if lm.group(1) else lm.start(2)
-            ym = sc.re_year_left.search(text[:start])
+            ym = sc.search_left(sc.re_year_left, text, rev, start)
             if ym is not None:
                 year = int(ym.group(1))
                 start = ym.start(1)
@@ -474,7 +510,7 @@ def _scan_month(text, m, sc: _Scanner):
                 # precedes it ("1999, the 2nd of May").
                 start = lm.start(2)
     if day is None:
-        ym = sc.re_year_left.search(left)
+        ym = sc.search_left(sc.re_year_left, text, rev, anchor)
         if ym is not None:
             year = int(ym.group(1))
             start = ym.start(1)
@@ -538,7 +574,7 @@ def _scan_month(text, m, sc: _Scanner):
                                 surface=text[start:end], kind=DateKind.MONTH_DAY,
                                 month=month, day=day)
     if sc.re_premod is not None:
-        pm = sc.re_premod.search(left)
+        pm = sc.search_left(sc.re_premod, text, rev, anchor)
         if pm is not None:
             start = pm.start(1)
             return LexicalCandidate(offset=start, length=end - start,
@@ -551,8 +587,8 @@ def _scan_month(text, m, sc: _Scanner):
 # --------------------------------------------------------------------------
 # normalization and resolution
 
-def normalize_match(candidate, document_order: str, lexicon: DateLexicon | None = None,
-                    reject_two_digit_years: bool = False, diagnostics=None):
+def normalize_match(candidate, document_order: str, reject_two_digit_years: bool = False,
+                    diagnostics=None):
     """Turn a finder candidate into a DateMatch; None when discarded.
 
     Discards land on the diagnostics list as (offset, surface, reason).
@@ -620,6 +656,9 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
     raise ContractError("cannot resolve non-relative kind %s" % k)
 
 
+_offset = operator.attrgetter("offset")
+
+
 def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | None = None,
                   default_order: str | None = None, reject_two_digit_years: bool = False,
                   diagnostics=None):
@@ -631,24 +670,24 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     order = infer_document_order(numeric, default)
     matches = []
     for cand in numeric:
-        m = normalize_match(cand, order, lexicon, reject_two_digit_years, diagnostics)
+        m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
         if m is not None:
             matches.append(m)
     for cand in find_lexical_dates(text, lexicon):
-        m = normalize_match(cand, order, lexicon, reject_two_digit_years, diagnostics)
+        m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
         if m is not None:
             matches.append(m)
 
-    # Overlaps keep the longest match, then the leftmost.
+    # Overlaps keep the longest match, then the leftmost.  Kept matches stay
+    # sorted by offset and disjoint, so their ends are sorted too and only the
+    # last kept match starting before a candidate's end can overlap it.
     matches.sort(key=lambda m: (-m.length, m.offset))
     kept = []
-    spans = []
     for m in matches:
-        if any(m.offset < e and m.offset + m.length > s for s, e in spans):
+        i = bisect.bisect_left(kept, m.offset + m.length, key=_offset)
+        if i and kept[i - 1].offset + kept[i - 1].length > m.offset:
             continue
-        kept.append(m)
-        spans.append((m.offset, m.offset + m.length))
-    kept.sort(key=lambda m: m.offset)
+        kept.insert(i, m)
 
     if reference is not None:
         kept = [replace(m, resolved=resolve_relative(m.normal, reference))

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from placetime import dates
 from placetime.annotate import strip_inline
 from placetime.cli import DATA_DIR, main
 
@@ -122,6 +124,31 @@ class TestDates:
                              "--encoding", "UTF-8")
         assert code == 0
         assert [r["normal"] for r in records(out)] == ["1918-11-11"]
+
+    def test_bad_day_ordinal_key_exit_2(self, capsys, tmp_path):
+        lexicon = tmp_path / "bad.lex"
+        lexicon.write_text(Path(LEX_EN).read_text(encoding="utf-8").replace(
+            "\n[day_ordinals]\n", "\n[day_ordinals]\nfirst = 1st\n"), encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("21 March 2001")
+        code, out, err = run(capsys, "dates", str(doc), "--lexicon", str(lexicon))
+        assert code == 2 and out == ""
+        assert err.startswith("placetime: %s:" % lexicon)
+        assert "day index 'first'" in err and len(err.splitlines()) == 1
+
+    def test_repeated_calls_leave_module_state_unchanged(self, capsys, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Signed 21 March 2001, then 12/31/03 and next June.")
+
+        def module_state():
+            return {name: len(value) for name, value in vars(dates).items()
+                    if isinstance(value, (dict, list, set))}
+
+        run(capsys, "dates", str(doc), "--lexicon", LEX_EN)
+        before = module_state()
+        for _ in range(50):
+            assert run(capsys, "dates", str(doc), "--lexicon", LEX_EN)[0] == 0
+        assert module_state() == before
 
     def test_identify_before_extract(self, capsys, tmp_path, profile_dir):
         # no --lang/--encoding: the ro profile picks UTF-8 for us

@@ -1,6 +1,10 @@
+import dataclasses
 import datetime
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placetime import dates
 from placetime.dates import (DateKind, NormalizedDate, extract_dates,
@@ -304,3 +308,120 @@ class TestExtractPipeline:
         out = extract_dates("21.2.1983", lexicon_en,
                             reference=datetime.date(2003, 9, 10))
         assert out[0].resolved is None
+
+    def test_long_text_equals_its_paragraphs(self, lexicon_en, corpus_dir):
+        # Numeric field order is inferred per document, so paragraphs that
+        # would force month-day-year on the whole text are left out.
+        paragraphs = [p.read_text(encoding="utf-8").strip()
+                      for p in sorted(corpus_dir.glob("*.txt"))]
+        paragraphs = [p for p in paragraphs
+                      if infer_document_order(find_numeric_dates(p)) == dates.ORDER_DMY]
+        paragraphs = paragraphs * (40_000 // len("\n\n".join(paragraphs)) + 1)
+        text = "\n\n".join(paragraphs)
+        assert len(text) >= 40_000
+        expected = []
+        base = 0
+        for p in paragraphs:
+            expected += [dataclasses.replace(m, offset=m.offset + base)
+                         for m in extract_dates(p, lexicon_en)]
+            base += len(p) + 2
+        assert extract_dates(text, lexicon_en) == expected
+
+
+# --------------------------------------------------------------------------
+# the token-bounded left-context search against a search over the whole prefix
+
+_LEFT_PATTERNS = ("re_day_left", "re_year_left", "re_premod")
+# Each run draws from one of these alphabets, so that runs the patterns can
+# cross ("[\s,]+", "[\s-]+") are as likely as runs they cannot.
+_SEPARATOR_RUNS = st.sampled_from([" ", " ,", " \t\n\u00a0", " -", " \t\n,-\u00a0"]).flatmap(
+    lambda alphabet: st.text(alphabet=alphabet, max_size=200))
+_FILLER = ("report", "said", "Paris", "ago", "x", "Year", "2a", "of-the", "anul2")
+
+
+def _left_words(lexicon):
+    """One word: first a kind, then a surface of that kind, so that the few
+    multi-word connectors are drawn as often as all day ordinals together."""
+    days = [s for forms in lexicon.day_ordinals.values() for s in forms]
+    kinds = [list(lexicon.connectors), days, ["1", "02", "31", "1999", "2003"],
+             list(_FILLER)] + ([list(lexicon.pre_modifiers)] if lexicon.pre_modifiers else [])
+    return st.sampled_from(kinds).flatmap(st.sampled_from)
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_windowed_left_search_equals_unbounded(lexicon_name, data, request):
+    lexicon = request.getfixturevalue(lexicon_name)
+    sc = lexicon._scanner
+    parts = data.draw(st.lists(st.tuples(_left_words(lexicon), _SEPARATOR_RUNS), max_size=24))
+    text = ""
+    ends = {0}
+    for word, run in parts:
+        text += word + run
+        ends.add(len(text))
+    ends.update(data.draw(st.lists(st.integers(0, len(text)), max_size=4)))
+    rev = text[::-1]
+    for name in _LEFT_PATTERNS:
+        pattern = getattr(sc, name)
+        if pattern is None:
+            continue
+        for end in ends:
+            want = pattern.search(text[:end])
+            got = sc.search_left(pattern, text, rev, end)
+            assert (got and (got.span(), got.groups())) == (want and (want.span(), want.groups()))
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+def test_windowed_left_search_finds_longest_day_context(lexicon_name, request):
+    # The longest re_day_left match (longest connector, day and connector)
+    # is found whole: the window holds one token more than it.
+    lexicon = request.getfixturevalue(lexicon_name)
+    sc = lexicon._scanner
+
+    def longest(surfaces):
+        return max(surfaces, key=lambda s: len(re.findall(r"[^\s,-]+", s)))
+
+    conn = longest(lexicon.connectors)
+    day = longest(s for forms in lexicon.day_ordinals.values() for s in forms)
+    text = "filler " * 20 + "%s , %s,\n%s   " % (conn, day, conn)
+    m = sc.search_left(sc.re_day_left, text, text[::-1], len(text))
+    assert (m.start(), m.group(1), m.group(2)) == (140, conn, day)
+
+
+# --------------------------------------------------------------------------
+# the sorted-span overlap checks against pairwise scans
+
+_SEPARATORS = st.sampled_from(["", " ", " ", " ", ", ", "-", "-", "/", "."])
+
+
+def _joined(parts):
+    return st.lists(st.tuples(st.sampled_from(parts), _SEPARATORS), max_size=30).map(
+        lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_joined(("2003", "1999", "12", "31", "5", "03")))
+def test_numeric_iso_overlap_equals_pairwise(text):
+    iso = [m.span() for m in dates._RE_NUM_YMD.finditer(text)]
+    general = [m.span() for m in dates._RE_NUM_GEN.finditer(text)
+               if not any(m.start() < e and m.end() > s for s, e in iso)]
+    got = [(c.offset, c.offset + c.length) for c in find_numeric_dates(text)]
+    assert got == sorted(iso + general)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_joined(("2003", "1999", "12", "31", "5", "2nd", "the", "of", "May", "March",
+                "Jan.", "next", "last year", "today")))
+def test_overlap_resolution_equals_pairwise(lexicon_en, text):
+    numeric = find_numeric_dates(text)
+    order = infer_document_order(numeric, lexicon_en.default_order)
+    matches = [m for c in numeric + find_lexical_dates(text, lexicon_en)
+               if (m := normalize_match(c, order)) is not None]
+    matches.sort(key=lambda m: (-m.length, m.offset))
+    kept = []
+    for m in matches:
+        if not any(m.offset < k.offset + k.length and m.offset + m.length > k.offset
+                   for k in kept):
+            kept.append(m)
+    assert extract_dates(text, lexicon_en) == sorted(kept, key=lambda m: m.offset)
