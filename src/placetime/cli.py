@@ -14,23 +14,12 @@ import json
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import annotate, dates, gazetteer, geotag, langid, mapviz
-from .errors import ConfigError, LoadError, PlacetimeError
+from .errors import ConfigError, LoadError, PlacetimeError, TrainingError
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
-
-
-@dataclass
-class AnnotatedDocument:
-    source: str
-    label: langid.LangEncLabel | None
-    text: str
-    date_matches: list = field(default_factory=list)
-    geo_matches: list = field(default_factory=list)
-    tallies: list = field(default_factory=list)
 
 
 def _add_common_io(parser):
@@ -101,17 +90,15 @@ def _emit(out, text):
     (out or sys.stdout).write(text)
 
 
-def _decode(path, raw, args, profiles):
+def _decode(raw, args, profiles):
     """Pick an encoding (declared, identified, or UTF-8) and decode."""
-    label = None
     if args.encoding:
         encoding = args.encoding
     elif not args.lang and profiles:
-        label = langid.identify(profiles, raw)[0].label
-        encoding = label.encoding
+        encoding = langid.identify(profiles, raw)[0].label.encoding
     else:
         encoding = "UTF-8"
-    return langid.decode_to_utf8(raw, encoding), label
+    return langid.decode_to_utf8(raw, encoding)
 
 
 def _load_profiles_if_needed(args):
@@ -170,7 +157,10 @@ def cmd_identify(args):
 
 def cmd_train_profile(args):
     label = langid.LangEncLabel(args.lang, args.encoding)
-    corpus = b"".join(Path(p).read_bytes() for p in args.corpus)
+    try:
+        corpus = b"".join(Path(p).read_bytes() for p in args.corpus)
+    except OSError as exc:
+        raise ConfigError("cannot read corpus: %s" % exc) from exc
     profile = langid.train_profile(corpus, label)
     langid.save_profile(profile, args.out)
     return 0
@@ -198,7 +188,7 @@ def cmd_dates(args):
     try:
         def worker(path):
             raw = Path(path).read_bytes()
-            text, _ = _decode(path, raw, args, profiles)
+            text = _decode(raw, args, profiles)
             diagnostics = [] if args.diagnostics else None
             matches = dates.extract_dates(
                 text, lexicon, reference=reference,
@@ -264,7 +254,7 @@ def cmd_places(args):
     try:
         def worker(path):
             raw = Path(path).read_bytes()
-            text, _ = _decode(path, raw, args, profiles)
+            text = _decode(raw, args, profiles)
             matches = geotag.tag_places(text, index, stop_list, triggers)
             resolved = geotag.disambiguate(matches, index)
             tallies = geotag.aggregate_by_country(resolved, index)
@@ -374,8 +364,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError("--jobs must be at least 1")
         return _COMMANDS[args.command](args)
-    except (ConfigError, LoadError) as exc:
+    except (ConfigError, LoadError, TrainingError) as exc:
         print("placetime: %s" % exc, file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LoadError
@@ -161,11 +161,6 @@ def _match_token_index(first_index, tokens, position):
         if all(tokens[position + i].text == key[i] for i in range(len(key))):
             return SpanMatch(span=len(key), payload=payload)
     return None
-
-
-def match_at(index: GazetteerIndex, tokens, position):
-    """Module-level alias for :meth:`GazetteerIndex.match_at`."""
-    return index.match_at(tokens, position)
 
 
 def load_gazetteer(path, max_size_class=None, keep_countries=()) -> GazetteerIndex:

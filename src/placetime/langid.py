@@ -8,6 +8,7 @@ are recognised in the same step by ranking all profiles.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,6 +28,8 @@ ENCODING_REGISTRY = {
 }
 
 _ALPHABET = 256
+_UNSEEN_BIGRAM = math.log(1 / _ALPHABET)
+_BYTE = {str(i): i for i in range(_ALPHABET)}
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +60,13 @@ class LangEncProfile:
     trigram_counts: dict = field(default_factory=dict)
     total_bytes: int = 0
 
+    @functools.cached_property
+    def _log_tables(self):
+        bi = self.bigram_counts
+        return ({key: math.log((t + 1) / (bi.get(key[:2], 0) + _ALPHABET))
+                 for key, t in self.trigram_counts.items()},
+                {key: math.log(1 / (b + _ALPHABET)) for key, b in bi.items()})
+
 
 @dataclass(frozen=True)
 class ScoredLabel:
@@ -81,20 +91,20 @@ def train_profile(corpus: bytes, label: LangEncLabel) -> LangEncProfile:
 def score_text(profile: LangEncProfile, text: bytes) -> float:
     """Mean log-probability per byte of ``text`` under the profile.
 
-    Each trigram (b1, b2, b3) contributes
-    ln((trigram_count + 1) / (bigram_count + 256)); the sum is divided by
-    the number of trigrams.  Always finite and <= 0.
+    Each distinct trigram (b1, b2, b3) of ``text`` adds its count times
+    ln((trigram_count + 1) / (bigram_count + 256)), read from tables the
+    profile builds on first use (per trigram, and per bigram for an unseen
+    trigram); the sum is divided by the number of trigrams.  Always finite and <= 0.
     """
     if len(text) < 3:
         raise ScoringError("text must hold at least 3 bytes, got %d" % len(text))
-    tri = profile.trigram_counts
-    bi = profile.bigram_counts
+    tri_logs, bi_logs = profile._log_tables
     total = 0.0
-    for i in range(len(text) - 2):
-        b1, b2, b3 = text[i], text[i + 1], text[i + 2]
-        t = tri.get((b1, b2, b3), 0)
-        b = bi.get((b1, b2), 0)
-        total += math.log((t + 1) / (b + _ALPHABET))
+    for key, n in Counter(zip(text, text[1:], text[2:])).items():
+        logp = tri_logs.get(key)
+        if logp is None:
+            logp = bi_logs.get(key[:2], _UNSEEN_BIGRAM)
+        total += n * logp
     return total / (len(text) - 2)
 
 
@@ -129,7 +139,8 @@ def save_profile(profile: LangEncProfile, path) -> None:
     """Write a profile in the line-oriented text format.
 
     Header ``#langenc <lang> <encoding> <total_bytes>``, then one record
-    per line: ``B b1 b2 count`` / ``T b1 b2 b3 count`` with decimal bytes.
+    per line: ``B b1 b2 count`` / ``T b1 b2 b3 count``.  Bytes are plain
+    decimals from 0 to 255 and counts are integers >= 0; the file is UTF-8.
     """
     lines = ["#langenc %s %s %d" % (profile.label.language, profile.label.encoding,
                                     profile.total_bytes)]
@@ -141,33 +152,35 @@ def save_profile(profile: LangEncProfile, path) -> None:
 
 
 def load_profile(path) -> LangEncProfile:
+    """Read a :func:`save_profile` file; LoadError names the first line breaking its rules."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("#langenc "):
-        raise LoadError("%s: missing #langenc header" % path)
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise LoadError("%s: malformed header %r" % (path, lines[0]))
+    # An undecodable byte becomes a lone surrogate, which no field accepts.
+    lines = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    header = lines[0].split() if lines else []
     try:
-        label = LangEncLabel(parts[1], parts[2])
-        total = int(parts[3])
+        if len(header) != 4 or header[0] != "#langenc":
+            raise ValueError("missing or malformed #langenc header")
+        label = LangEncLabel(header[1], header[2])
+        total = int(header[3])
     except ValueError as exc:
-        raise LoadError("%s: %s" % (path, exc)) from exc
+        raise LoadError("%s:1: %s" % (path, exc)) from exc
     bigrams, trigrams = {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         try:
-            if fields[0] == "B" and len(fields) == 4:
-                b1, b2, n = (int(x) for x in fields[1:])
-                bigrams[(b1, b2)] = n
-            elif fields[0] == "T" and len(fields) == 5:
-                b1, b2, b3, n = (int(x) for x in fields[1:])
-                trigrams[(b1, b2, b3)] = n
+            if len(fields) == 5 and fields[0] == "T":
+                _, b1, b2, b3, n = fields
+                trigrams[_BYTE[b1], _BYTE[b2], _BYTE[b3]] = n = int(n)
+            elif len(fields) == 4 and fields[0] == "B":
+                _, b1, b2, n = fields
+                bigrams[_BYTE[b1], _BYTE[b2]] = n = int(n)
             else:
                 raise ValueError("bad record")
-        except ValueError as exc:
+            if n < 0:
+                raise ValueError("negative count")
+        except (KeyError, ValueError) as exc:
             raise LoadError("%s:%d: malformed record %r" % (path, lineno, line)) from exc
     return LangEncProfile(label=label, bigram_counts=bigrams,
                           trigram_counts=trigrams, total_bytes=total)

@@ -70,6 +70,41 @@ class TestIdentify:
         assert len(out.splitlines()) == 1  # the good file still processed
         assert "missing.txt" in err
 
+    @pytest.mark.parametrize("record", [b"B 1 256 3", b"T 1 2 3 -4", b"B 1 2 3\xe9"])
+    def test_malformed_profile_exit_2(self, capsys, tmp_path, profile_dir, record):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        good = (profile_dir / "en.prof").read_bytes().splitlines()
+        bad = profiles / "en.prof"
+        bad.write_bytes(b"\n".join(good[:2] + [record] + good[2:]) + b"\n")
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(corpusgen.snippets(corpusgen.labels()[0], 1, 500, seed=2)[0])
+        code, out, err = run(capsys, "identify", str(doc), "--profiles", str(profiles))
+        assert code == 2 and out == ""
+        assert err.startswith("placetime: %s:3: malformed record " % bad)
+        assert len(err.splitlines()) == 1
+
+
+class TestTrainProfile:
+    def test_missing_corpus_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "en.prof"
+        code, out, err = run(capsys, "train-profile", str(tmp_path / "nowhere.txt"),
+                             "--lang", "en", "--encoding", "UTF-8", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("placetime: cannot read corpus: ") and "nowhere.txt" in err
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
+    def test_short_corpus_exit_2(self, capsys, tmp_path):
+        corpus = tmp_path / "tiny.txt"
+        corpus.write_bytes(b"ab")
+        out_path = tmp_path / "en.prof"
+        code, out, err = run(capsys, "train-profile", str(corpus),
+                             "--lang", "en", "--encoding", "UTF-8", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "placetime: training corpus must hold at least 3 bytes, got 2\n"
+        assert not out_path.exists()
+
 
 class TestDates:
     def test_standoff_records(self, capsys, tmp_path):
@@ -233,6 +268,16 @@ class TestPlaces:
                              "--jobs", "4")
         assert code1 == code4 == 0
         assert out1 == out4
+
+
+@pytest.mark.parametrize("command", [["dates", "--lexicon", LEX_EN],
+                                     ["places", "--gazetteer", GAZ]])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_2(capsys, tmp_path, command, jobs):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("Paris, 21 March 2001.")
+    code, out, err = run(capsys, command[0], str(doc), *command[1:], "--jobs", jobs)
+    assert (code, out, err) == (2, "", "placetime: --jobs must be at least 1\n")
 
 
 class TestMap:

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placetime import langid
+from placetime.cli import main
 from placetime.errors import ConfigError, DecodeError, ScoringError, TrainingError
 from placetime.langid import ENCODING_REGISTRY, LangEncLabel
 
@@ -179,9 +182,150 @@ class TestProfileFiles:
         assert q.trigram_counts == p.trigram_counts
         assert q.total_bytes == p.total_bytes
         assert path.read_text().startswith("#langenc en ISO-8859-1 ")
+        again = tmp_path / "again.prof"
+        langid.save_profile(q, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.prof"
         path.write_text("B 1 2 3\n")
         with pytest.raises(langid.LoadError):
             langid.load_profile(path)
+
+    @pytest.mark.parametrize("record", [
+        b"B 256 1 3",        # byte above 255
+        b"T 1 -1 2 3",       # negative byte
+        b"B 1 02 3",         # byte not a plain decimal
+        b"T 1 2 +3 4",
+        b"B 1 2 -3",         # negative count
+        b"T 1 2 3 x",
+        b"B 1 2 \xff",       # not UTF-8
+    ])
+    def test_malformed_record_names_line(self, tmp_path, record):
+        path = tmp_path / "bad.prof"
+        path.write_bytes(b"#langenc en UTF-8 9\nB 1 2 3\n\n" + record + b"\nT 1 2 3 1\n")
+        with pytest.raises(langid.LoadError, match=r"bad\.prof:4: malformed record "):
+            langid.load_profile(path)
+
+    def test_non_utf8_header(self, tmp_path):
+        path = tmp_path / "bad.prof"
+        path.write_bytes(b"#langenc en UTF-8 9\xe9\nB 1 2 3\n")
+        with pytest.raises(langid.LoadError, match=r"bad\.prof:1: "):
+            langid.load_profile(path)
+
+
+# --------------------------------------------------------------------------
+# distinct-trigram scoring against the per-position loop it replaced
+
+def reference_score(profile, text):
+    tri = profile.trigram_counts
+    bi = profile.bigram_counts
+    total = 0.0
+    for i in range(len(text) - 2):
+        b1, b2, b3 = text[i], text[i + 1], text[i + 2]
+        t = tri.get((b1, b2, b3), 0)
+        b = bi.get((b1, b2), 0)
+        total += math.log((t + 1) / (b + 256))
+    return total / (len(text) - 2)
+
+
+# Few symbols, so that texts and profiles share trigrams and bigrams often.
+_SYMBOLS = b"ab\x00\xff"
+_SYMBOL = st.sampled_from(_SYMBOLS)
+_TRIGRAM = st.tuples(_SYMBOL, _SYMBOL, _SYMBOL)
+_TEXTS = st.integers(3, 4096).flatmap(lambda n: st.binary(min_size=n, max_size=n)).map(
+    lambda raw: bytes(_SYMBOLS[b % len(_SYMBOLS)] for b in raw))
+
+
+@st.composite
+def _trained(draw, label=EN):
+    return langid.train_profile(draw(_TEXTS), label)
+
+
+@st.composite
+def _hand_built(draw, label=EN):
+    """Random counts, plus one trigram whose bigram is missing and one whose
+    log-probability is exactly 0.0 (count + 1 == bigram count + 256)."""
+    trigrams = draw(st.dictionaries(_TRIGRAM, st.integers(0, 1000), max_size=30))
+    bigrams = draw(st.dictionaries(st.tuples(_SYMBOL, _SYMBOL), st.integers(0, 1000),
+                                   max_size=10))
+    orphan, exact = draw(st.lists(_TRIGRAM, min_size=2, max_size=2, unique_by=lambda k: k[:2]))
+    trigrams[orphan] = draw(st.integers(0, 1000))
+    bigrams.pop(orphan[:2], None)
+    bigrams[exact[:2]] = b = draw(st.integers(0, 1000))
+    trigrams[exact] = b + 255
+    return langid.LangEncProfile(label, bigrams, trigrams, 0)
+
+
+@st.composite
+def _text_with(draw, keys):
+    """A text that holds each trigram of ``keys`` at a drawn position."""
+    text = bytearray(draw(_TEXTS))
+    for key in keys:
+        at = draw(st.integers(0, len(text)))
+        text[at:at] = bytes(key)
+    return bytes(text)
+
+
+class TestScoreAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(profile=_trained(), text=_TEXTS)
+    def test_trained_on_random_bytes(self, profile, text):
+        assert langid.score_text(profile, text) == pytest.approx(
+            reference_score(profile, text), rel=0, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hand_built(self, data):
+        profile = data.draw(_hand_built())
+        tri, bi = profile.trigram_counts, profile.bigram_counts
+        special = [k for k, t in tri.items()
+                   if k[:2] not in bi or t + 1 == bi[k[:2]] + 256]
+        text = data.draw(_text_with(special))
+        assert langid.score_text(profile, text) == pytest.approx(
+            reference_score(profile, text), rel=0, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_identify_ranks_as_reference(self, data):
+        labels = corpusgen.labels()
+        kinds = st.sampled_from([_trained, _hand_built])
+        profiles = [data.draw(kinds.flatmap(lambda kind: kind(label)))
+                    for label in labels[:data.draw(st.integers(2, len(labels)))]]
+        text = data.draw(_TEXTS)
+        want = sorted(profiles, key=lambda p: (-reference_score(p, text), p.label))
+        ranked = langid.identify(profiles, text)
+        assert [s.label for s in ranked] == [p.label for p in want]
+        for s, p in zip(ranked, want):
+            assert s.score == pytest.approx(reference_score(p, text), rel=0, abs=1e-9)
+
+    def test_log_tables_built_once_and_bounded(self):
+        p = langid.train_profile(corpusgen.generate_bytes(EN, 5000, seed=2), EN)
+        tables = p._log_tables
+        for label in corpusgen.labels():
+            for text in corpusgen.snippets(label, 5, 300, seed=8):
+                langid.score_text(p, text)
+        assert p._log_tables is tables
+        tri_logs, bi_logs = tables
+        assert len(tri_logs) <= len(p.trigram_counts)
+        assert len(bi_logs) <= len(p.bigram_counts)
+
+    def test_repeated_identify_leaves_module_state_unchanged(self, tmp_path, capsys):
+        for label in corpusgen.labels()[:3]:
+            langid.save_profile(langid.train_profile(
+                corpusgen.generate_bytes(label, 5000, seed=1), label),
+                tmp_path / ("%s.prof" % label.language))
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(corpusgen.snippets(EN, 1, 500, seed=4)[0])
+
+        def module_state():
+            return {name: len(value) for name, value in vars(langid).items()
+                    if isinstance(value, (dict, list, set))}
+
+        argv = ["identify", str(doc), "--profiles", str(tmp_path)]
+        assert main(argv) == 0
+        before = module_state()
+        for _ in range(50):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert module_state() == before
