@@ -3,17 +3,20 @@
 Subcommands: identify, dates, places, map, train-profile, propose-stopwords.
 Standoff output is JSON Lines (one object per match, plus one tallies
 object per file); inline output wraps matches as ``[[kind|normal|surface]]``.
+Files are processed one at a time, in input order, and each file's output
+is written as soon as it is done.
 Exit codes: 0 success, 1 partial failure, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
+import functools
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import annotate, dates, gazetteer, geotag, langid, mapviz
@@ -29,7 +32,6 @@ def _add_common_io(parser):
     parser.add_argument("--profiles", help="profile directory for identification")
     parser.add_argument("--format", choices=("standoff", "inline"), default="standoff")
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
 
 
 def build_parser():
@@ -80,58 +82,67 @@ def build_parser():
     return parser
 
 
+def _cannot_write(path, exc):
+    return ConfigError("cannot write %s: %s" % (path, exc.strerror))
+
+
 def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return None
-
-
-def _emit(out, text):
-    (out or sys.stdout).write(text)
-
-
-def _decode(raw, args, profiles):
-    """Pick an encoding (declared, identified, or UTF-8) and decode."""
-    if args.encoding:
-        encoding = args.encoding
-    elif not args.lang and profiles:
-        encoding = langid.identify(profiles, raw)[0].label.encoding
-    else:
-        encoding = "UTF-8"
-    return langid.decode_to_utf8(raw, encoding)
-
-
-def _load_profiles_if_needed(args):
-    if getattr(args, "profiles", None) and not args.encoding:
-        return langid.load_profile_dir(args.profiles)
-    return None
-
-
-def _map_files(paths, worker, jobs):
-    """Run ``worker(path)`` per file, preserving input order.
-
-    Returns (results, failed) where results holds (path, value-or-None).
-    """
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda p: _safe(worker, p), paths))
-    else:
-        outcomes = [_safe(worker, p) for p in paths]
-    failed = False
-    results = []
-    for path, value, error in outcomes:
-        if error is not None:
-            print("placetime: %s: %s" % (path, error), file=sys.stderr)
-            failed = True
-        results.append((path, value))
-    return results, failed
-
-
-def _safe(worker, path):
+    """The ``--out`` file opened for writing, or standard output if none."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        return path, worker(path), None
-    except (OSError, PlacetimeError) as exc:
-        return path, None, exc
+        return open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
+
+
+def _decoder(args):
+    """``decode(raw)`` with the declared, identified (no --lang) or UTF-8 encoding."""
+    profiles = (langid.load_profile_dir(args.profiles)
+                if args.profiles and not args.encoding else None)
+
+    def decode(raw):
+        if args.encoding:
+            encoding = args.encoding
+        elif not args.lang and profiles:
+            encoding = langid.identify(profiles, raw)[0].label.encoding
+        else:
+            encoding = "UTF-8"
+        return langid.decode_to_utf8(raw, encoding)
+    return decode
+
+
+def _run_documents(args, analyse, render):
+    """Per file, in order: write ``render(path, analyse(path, raw))`` to the output.
+
+    A file that cannot be read or analysed is reported and skipped (exit 1).
+    """
+    failed = False
+    with _open_out(args) as out:
+        for path in args.paths:
+            try:
+                result = analyse(path, Path(path).read_bytes())
+            except (OSError, PlacetimeError) as exc:
+                print("placetime: %s: %s" % (path, exc), file=sys.stderr)
+                failed = True
+                continue
+            out.write(render(path, result))
+    return 1 if failed else 0
+
+
+def _render_matches(args, record, span):
+    """``render`` of (text, matches, trailer): the text with each ``span(m)`` marked,
+    or ``record(path, m)`` per match and then the trailer as JSON Lines."""
+    if args.format == "inline":
+        def render(path, result):
+            text, matches, _ = result
+            return annotate.annotate_inline(text, [span(m) for m in matches])
+    else:
+        def render(path, result):
+            _, matches, trailer = result
+            return "".join(json.dumps(r, ensure_ascii=False) + "\n"
+                           for r in [*(record(path, m) for m in matches), *trailer])
+    return render
 
 
 # --------------------------------------------------------------------------
@@ -139,30 +150,26 @@ def _safe(worker, path):
 
 def cmd_identify(args):
     profiles = langid.load_profile_dir(args.profiles)
-    out = _open_out(args)
-    try:
-        def worker(path):
-            raw = Path(path).read_bytes()
-            return langid.identify(profiles, raw)[0]
-        results, failed = _map_files(args.paths, worker, 1)
-        for path, best in results:
-            if best is not None:
-                _emit(out, "%s\t%s\t%s\t%.4f\n"
-                      % (path, best.label.language, best.label.encoding, best.score))
-    finally:
-        if out:
-            out.close()
-    return 1 if failed else 0
+    return _run_documents(
+        args, lambda path, raw: langid.identify(profiles, raw)[0],
+        lambda path, best: "%s\t%s\t%s\t%.4f\n"
+        % (path, best.label.language, best.label.encoding, best.score))
 
 
 def cmd_train_profile(args):
-    label = langid.LangEncLabel(args.lang, args.encoding)
+    try:
+        label = langid.LangEncLabel(args.lang, args.encoding)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         corpus = b"".join(Path(p).read_bytes() for p in args.corpus)
     except OSError as exc:
         raise ConfigError("cannot read corpus: %s" % exc) from exc
     profile = langid.train_profile(corpus, label)
-    langid.save_profile(profile, args.out)
+    try:
+        langid.save_profile(profile, args.out)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
     return 0
 
 
@@ -175,6 +182,10 @@ def _date_record(path, m):
     return record
 
 
+def _date_span(m):
+    return m.offset, m.length, "date:%s" % m.normal.kind.value, m.normal.to_string()
+
+
 def cmd_dates(args):
     lexicon = dates.load_date_lexicon(args.lexicon)
     reference = None
@@ -183,40 +194,22 @@ def cmd_dates(args):
             reference = datetime.date.fromisoformat(args.reference)
         except ValueError as exc:
             raise ConfigError("bad --reference %r: %s" % (args.reference, exc)) from exc
-    profiles = _load_profiles_if_needed(args)
-    out = _open_out(args)
-    try:
-        def worker(path):
-            raw = Path(path).read_bytes()
-            text = _decode(raw, args, profiles)
-            diagnostics = [] if args.diagnostics else None
-            matches = dates.extract_dates(
-                text, lexicon, reference=reference,
-                default_order=args.default_order,
-                reject_two_digit_years=args.reject_two_digit_years,
-                diagnostics=diagnostics)
-            if diagnostics:
-                for offset, surface, reason in diagnostics:
-                    print("placetime: %s:%d: discarded %r (%s)"
-                          % (path, offset, surface, reason), file=sys.stderr)
-            return text, matches
+    decode = _decoder(args)
 
-        results, failed = _map_files(args.paths, worker, args.jobs)
-        for path, value in results:
-            if value is None:
-                continue
-            text, matches = value
-            if args.format == "standoff":
-                for m in matches:
-                    _emit(out, json.dumps(_date_record(path, m), ensure_ascii=False) + "\n")
-            else:
-                spans = [(m.offset, m.length, "date:%s" % m.normal.kind.value,
-                          m.normal.to_string()) for m in matches]
-                _emit(out, annotate.annotate_inline(text, spans))
-    finally:
-        if out:
-            out.close()
-    return 1 if failed else 0
+    def analyse(path, raw):
+        text = decode(raw)
+        diagnostics = [] if args.diagnostics else None
+        matches = dates.extract_dates(
+            text, lexicon, reference=reference,
+            default_order=args.default_order,
+            reject_two_digit_years=args.reject_two_digit_years,
+            diagnostics=diagnostics)
+        for offset, surface, reason in diagnostics or ():
+            print("placetime: %s:%d: discarded %r (%s)"
+                  % (path, offset, surface, reason), file=sys.stderr)
+        return text, matches, ()
+
+    return _run_documents(args, analyse, _render_matches(args, _date_record, _date_span))
 
 
 def _geo_record(path, m, index):
@@ -229,6 +222,13 @@ def _geo_record(path, m, index):
         record.update(place_id=rec.id, country=rec.country, lat=rec.latitude,
                       lon=rec.longitude, size_class=rec.size_class)
     return record
+
+
+def _geo_span(m, index):
+    if isinstance(m.resolved, str):
+        return m.offset, m.length, "country", m.resolved
+    rec = index.records[m.resolved]
+    return m.offset, m.length, "place", "%s:%d" % (rec.country, rec.id)
 
 
 def _parse_size_filter(spec):
@@ -249,50 +249,41 @@ def cmd_places(args):
     stop_list = (gazetteer.load_stop_words(args.stopwords, args.lang or "")
                  if args.stopwords else None)
     triggers = gazetteer.load_triggers(args.triggers) if args.triggers else None
-    profiles = _load_profiles_if_needed(args)
-    out = _open_out(args)
-    try:
-        def worker(path):
-            raw = Path(path).read_bytes()
-            text = _decode(raw, args, profiles)
-            matches = geotag.tag_places(text, index, stop_list, triggers)
-            resolved = geotag.disambiguate(matches, index)
-            tallies = geotag.aggregate_by_country(resolved, index)
-            return text, resolved, tallies
+    decode = _decoder(args)
 
-        results, failed = _map_files(args.paths, worker, args.jobs)
-        for path, value in results:
-            if value is None:
-                continue
-            text, resolved, tallies = value
-            if args.format == "standoff":
-                for m in resolved:
-                    _emit(out, json.dumps(_geo_record(path, m, index),
-                                          ensure_ascii=False) + "\n")
-                _emit(out, json.dumps(
-                    {"type": "tallies", "path": path,
-                     "tallies": [{"country": t.country, "hits": t.hits,
-                                  "percentage": t.percentage} for t in tallies]},
-                    ensure_ascii=False) + "\n")
-            else:
-                spans = []
-                for m in resolved:
-                    if isinstance(m.resolved, str):
-                        spans.append((m.offset, m.length, "country", m.resolved))
-                    else:
-                        rec = index.records[m.resolved]
-                        spans.append((m.offset, m.length, "place",
-                                      "%s:%d" % (rec.country, rec.id)))
-                _emit(out, annotate.annotate_inline(text, spans))
-    finally:
-        if out:
-            out.close()
-    return 1 if failed else 0
+    def analyse(path, raw):
+        text = decode(raw)
+        matches = geotag.tag_places(text, index, stop_list, triggers)
+        resolved = geotag.disambiguate(matches, index)
+        tallies = geotag.aggregate_by_country(resolved, index)
+        return text, resolved, [
+            {"type": "tallies", "path": path,
+             "tallies": [{"country": t.country, "hits": t.hits,
+                          "percentage": t.percentage} for t in tallies]}]
+
+    return _run_documents(args, analyse, _render_matches(
+        args, functools.partial(_geo_record, index=index),
+        functools.partial(_geo_span, index=index)))
+
+
+def _place_dot(record):
+    """A one-mention dot from a place's first ``geo`` record, checked for drawing."""
+    pid, lat, lon, country = record["place_id"], record["lat"], record["lon"], record["country"]
+    if not isinstance(pid, int) or not isinstance(country, str):
+        raise ValueError("bad place_id %r or country %r" % (pid, country))
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        raise ValueError("coordinates (%r, %r) out of range" % (lat, lon))
+    return mapviz.PlaceDot(pid, lat, lon, country, 1)
 
 
 def cmd_map(args):
+    try:
+        style = mapviz.MapStyle(width=args.width, height=args.height)
+    except ValueError as exc:
+        raise ConfigError("--width and --height must be positive") from exc
     outline = mapviz.load_outline(args.outline)
     hits = Counter()
+    mentions = Counter()
     dots = {}
     records = 0
     for path in args.annotations:
@@ -300,38 +291,49 @@ def cmd_map(args):
             lines = Path(path).read_text(encoding="utf-8").splitlines()
         except OSError as exc:
             raise ConfigError("cannot read annotations %s: %s" % (path, exc)) from exc
-        for line in lines:
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                if record.get("type") == "tallies":
+                    for t in record["tallies"]:
+                        hits[t["country"]] += t["hits"]
+                elif record.get("type") == "geo" and "place_id" in record:
+                    pid = record["place_id"]
+                    if pid not in dots:
+                        dots[pid] = _place_dot(record)
+                    mentions[pid] += 1
+            except json.JSONDecodeError as exc:
+                raise ConfigError("%s:%d: not JSON: %s" % (path, lineno, exc)) from exc
+            except KeyError as exc:
+                raise ConfigError("%s:%d: missing field %s" % (path, lineno, exc)) from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("%s:%d: %s" % (path, lineno, exc)) from exc
             records += 1
-            if record.get("type") == "tallies":
-                for t in record["tallies"]:
-                    hits[t["country"]] += t["hits"]
-            elif record.get("type") == "geo" and "place_id" in record:
-                pid = record["place_id"]
-                if pid in dots:
-                    d = dots[pid]
-                    dots[pid] = mapviz.PlaceDot(pid, d.latitude, d.longitude,
-                                                d.country, d.mentions + 1)
-                else:
-                    dots[pid] = mapviz.PlaceDot(pid, record["lat"], record["lon"],
-                                                record["country"], 1)
     if records == 0:
         raise ConfigError("no annotation records in input")
     total = sum(hits.values())
     tallies = [geotag.CountryTally(c, n, 100.0 * n / total)
                for c, n in sorted(hits.items())] if total else []
-    style = mapviz.MapStyle(width=args.width, height=args.height)
     diagnostics = []
-    svg = mapviz.render_svg(tallies, dots.values(), outline, style, diagnostics)
+    places = [mapviz.PlaceDot(pid, d.latitude, d.longitude, d.country, mentions[pid])
+              for pid, d in dots.items()]
+    svg = mapviz.render_svg(tallies, places, outline, style, diagnostics)
     for message in diagnostics:
         print("placetime: %s" % message, file=sys.stderr)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.out).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
     return 0
 
 
 def cmd_propose_stopwords(args):
+    if args.top_n < 1:
+        raise ConfigError("--top-n must be at least 1")
     index = gazetteer.load_gazetteer(args.gazetteer)
     try:
         words = [w.strip() for w in
@@ -340,13 +342,8 @@ def cmd_propose_stopwords(args):
     except OSError as exc:
         raise ConfigError("cannot read frequency list: %s" % exc) from exc
     proposals = gazetteer.propose_stop_words(index, words, args.top_n)
-    out = _open_out(args)
-    try:
-        for surface in proposals:
-            _emit(out, surface + "\n")
-    finally:
-        if out:
-            out.close()
+    with _open_out(args) as out:
+        out.write("".join(surface + "\n" for surface in proposals))
     return 0
 
 
@@ -364,8 +361,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError("--jobs must be at least 1")
         return _COMMANDS[args.command](args)
     except (ConfigError, LoadError, TrainingError) as exc:
         print("placetime: %s" % exc, file=sys.stderr)

@@ -126,7 +126,6 @@ class DateLexicon:
     relative_years: dict    # surface phrase -> year offset
     connectors: tuple       # surface phrases
     number_words: dict      # surface -> integer value (0 = join word)
-    post_modifiers: dict    # reserved; shipped empty
 
     @functools.cached_property
     def _scanner(self):
@@ -137,7 +136,7 @@ class DateLexicon:
 # lexicon file parsing
 
 _SECTIONS = ("meta", "months", "day_ordinals", "relative_days", "pre_modifiers",
-             "relative_years", "connectors", "number_words", "post_modifiers")
+             "relative_years", "connectors", "number_words")
 
 
 def load_date_lexicon(path) -> DateLexicon:
@@ -218,7 +217,6 @@ def load_date_lexicon(path) -> DateLexicon:
     pre_modifiers = int_map("pre_modifiers")
     relative_years = int_map("relative_years")
     number_words = int_map("number_words")
-    post_modifiers = int_map("post_modifiers")
     connectors = tuple(line for _, line in sections["connectors"])
 
     # A surface carrying two different meanings would make matching ambiguous.
@@ -245,8 +243,7 @@ def load_date_lexicon(path) -> DateLexicon:
     return DateLexicon(language=language, default_order=default_order, months=months,
                        day_ordinals=day_ordinals, relative_days=relative_days,
                        pre_modifiers=pre_modifiers, relative_years=relative_years,
-                       connectors=connectors, number_words=number_words,
-                       post_modifiers=post_modifiers)
+                       connectors=connectors, number_words=number_words)
 
 
 # --------------------------------------------------------------------------

@@ -99,19 +99,10 @@ class GazetteerIndex:
             if rec.id in self.records:
                 raise LoadError("duplicate place id %d" % rec.id)
             self.records[rec.id] = rec
-        # token tuple -> sorted tuple of record ids
-        by_name = {}
-        for rec in records:
-            for surface in rec.surfaces():
-                key = tuple(t.text for t in tokenize(surface))
-                if not key:
-                    raise LoadError("unindexable surface %r for id %d" % (surface, rec.id))
-                by_name.setdefault(key, set()).add(rec.id)
-        self._first = {}
-        for key, ids in by_name.items():
-            self._first.setdefault(key[0], []).append((key, tuple(sorted(ids))))
-        for entries in self._first.values():
-            entries.sort(key=lambda e: (-len(e[0]), e[0]))
+        self._first = _first_token_index(
+            ((surface, rec.id) for rec in records for surface in rec.surfaces()),
+            lambda surface, rid: "unindexable surface %r for id %d" % (surface, rid),
+            lambda ids: tuple(sorted(set(ids))))
 
     def __len__(self):
         return len(self.records)
@@ -136,17 +127,29 @@ class TriggerIndex:
 
     def __init__(self, triggers):
         self.triggers = tuple(triggers)
-        self._first = {}
-        for trig in self.triggers:
-            key = tuple(t.text for t in tokenize(trig.surface))
-            if not key:
-                raise LoadError("unindexable trigger surface %r" % (trig.surface,))
-            self._first.setdefault(key[0], []).append((key, (trig,)))
-        for entries in self._first.values():
-            entries.sort(key=lambda e: (-len(e[0]), e[0]))
+        self._first = _first_token_index(
+            ((trig.surface, trig) for trig in self.triggers),
+            lambda surface, trig: "unindexable trigger surface %r" % (surface,), tuple)
 
     def match_at(self, tokens, position):
         return _match_token_index(self._first, tokens, position)
+
+
+def _first_token_index(named, unindexable, payload):
+    """First token -> [(token key, payload(values))], longest key first.
+
+    ``named`` yields (surface, value); values of same-token surfaces keep their order.
+    """
+    by_key = {}
+    for surface, value in named:
+        key = tuple(t.text for t in tokenize(surface))
+        if not key:
+            raise LoadError(unindexable(surface, value))
+        by_key.setdefault(key, []).append(value)
+    first = {}
+    for key in sorted(by_key, key=lambda k: (-len(k), k)):
+        first.setdefault(key[0], []).append((key, payload(by_key[key])))
+    return first
 
 
 def _match_token_index(first_index, tokens, position):

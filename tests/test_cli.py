@@ -171,6 +171,17 @@ class TestDates:
         assert err.startswith("placetime: %s:" % lexicon)
         assert "day index 'first'" in err and len(err.splitlines()) == 1
 
+    def test_post_modifiers_section_rejected(self, capsys, tmp_path):
+        lexicon = tmp_path / "old.lex"
+        text = Path(LEX_EN).read_text(encoding="utf-8") + "\n[post_modifiers]\n"
+        lexicon.write_text(text, encoding="utf-8")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("21 March 2001")
+        code, out, err = run(capsys, "dates", str(doc), "--lexicon", str(lexicon))
+        assert (code, out) == (2, "")
+        assert err == "placetime: %s:%d: unknown section [post_modifiers]\n" % (
+            lexicon, len(text.splitlines()))
+
     def test_repeated_calls_leave_module_state_unchanged(self, capsys, tmp_path):
         doc = tmp_path / "doc.txt"
         doc.write_text("Signed 21 March 2001, then 12/31/03 and next June.")
@@ -257,27 +268,73 @@ class TestPlaces:
         code, out, err = run(capsys, "places", str(doc), "--gazetteer", str(bad))
         assert code == 2
 
-    def test_jobs_preserve_order(self, capsys, tmp_path):
-        paths = []
-        for i, city in enumerate(["Paris", "London", "Berlin", "Wien"]):
-            doc = tmp_path / ("doc%d.txt" % i)
-            doc.write_text("News from %s today." % city)
-            paths.append(str(doc))
-        code1, out1, _ = run(capsys, "places", *paths, "--gazetteer", GAZ)
-        code4, out4, _ = run(capsys, "places", *paths, "--gazetteer", GAZ,
-                             "--jobs", "4")
-        assert code1 == code4 == 0
-        assert out1 == out4
+
+@pytest.mark.parametrize("command", ["identify", "dates", "places"])
+def test_missing_file_skipped_in_input_order(capsys, tmp_path, profile_dir, command):
+    flags = {"identify": ["--profiles", str(profile_dir)],
+             "dates": ["--lexicon", LEX_EN], "places": ["--gazetteer", GAZ]}[command]
+    docs = []
+    for name, text in (("first", "Paris, 21 March 2001, then London on 2 May."),
+                       ("second", "Berlin, 9 May 1945, and Wien on 12 June.")):
+        doc = tmp_path / ("%s.txt" % name)
+        doc.write_text(text)
+        docs.append(str(doc))
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, command, docs[0], missing, docs[1], *flags)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("placetime: %s: " % missing)
+    if command == "identify":
+        paths = [line.split("\t")[0] for line in out.splitlines()]
+    else:
+        paths = [r["path"] for r in records(out)]
+    assert list(dict.fromkeys(paths)) == docs
+    assert paths == sorted(paths, key=docs.index)
 
 
-@pytest.mark.parametrize("command", [["dates", "--lexicon", LEX_EN],
-                                     ["places", "--gazetteer", GAZ]])
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_exit_2(capsys, tmp_path, command, jobs):
+def test_jobs_flag_removed(capsys, tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text("Paris, 21 March 2001.")
-    code, out, err = run(capsys, command[0], str(doc), *command[1:], "--jobs", jobs)
-    assert (code, out, err) == (2, "", "placetime: --jobs must be at least 1\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["places", str(doc), "--gazetteer", GAZ, "--jobs", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["identify", "dates", "places", "propose-stopwords",
+                                     "map", "train-profile"])
+def test_unwritable_out_exit_2(capsys, tmp_path, profile_dir, command):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("Paris, 21 March 2001.")
+    freq = tmp_path / "freq.txt"
+    freq.write_text("the\nsplit\n")
+    ann = tmp_path / "ann.jsonl"
+    ann.write_text(json.dumps({"type": "tallies", "path": "x", "tallies": [
+        {"country": "FR", "hits": 1, "percentage": 100.0}]}) + "\n")
+    argv = {"identify": [str(doc), "--profiles", str(profile_dir)],
+            "dates": [str(doc), "--lexicon", LEX_EN],
+            "places": [str(doc), "--gazetteer", GAZ],
+            "propose-stopwords": ["--gazetteer", GAZ, "--frequency-list", str(freq)],
+            "map": [str(ann)],
+            "train-profile": [str(doc), "--lang", "en", "--encoding", "UTF-8"]}[command]
+    bad = tmp_path / "nowhere" / "out.txt"
+    code, out, err = run(capsys, command, *argv, "--out", str(bad))
+    assert (code, out, err) == (
+        2, "", "placetime: cannot write %s: No such file or directory\n" % bad)
+
+
+@pytest.mark.parametrize("label, message", [
+    pytest.param(["--lang", "EN", "--encoding", "UTF-8"],
+                 "language must be a 2-letter lowercase code: 'EN'", id="lang"),
+    pytest.param(["--lang", "en", "--encoding", "KOI8"],
+                 "unknown encoding 'KOI8' (registry: ", id="encoding")])
+def test_train_profile_bad_label_exit_2(capsys, tmp_path, label, message):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("some training text")
+    out_path = tmp_path / "x.prof"
+    code, out, err = run(capsys, "train-profile", str(corpus), *label, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("placetime: " + message) and len(err.splitlines()) == 1
+    assert not out_path.exists()
 
 
 class TestMap:
@@ -312,6 +369,42 @@ class TestMap:
                                 svg_path.read_text()))
         assert float(radii["9"]) > float(radii["31"])
 
+    GOOD = json.dumps({"type": "geo", "path": "d", "offset": 0, "length": 5,
+                       "surface": "Paris", "place_id": 9, "country": "FR",
+                       "lat": 48.85, "lon": 2.35, "size_class": 1})
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("not json", "not JSON: Expecting value", id="not-json"),
+        pytest.param("[1]", "not a JSON object", id="not-object"),
+        pytest.param('{"type": "geo", "place_id": 31, "lon": 2.35, "country": "FR"}',
+                     "missing field 'lat'", id="no-lat"),
+        pytest.param('{"type": "geo", "place_id": 31, "lat": 48.85, "country": "FR"}',
+                     "missing field 'lon'", id="no-lon"),
+        pytest.param('{"type": "geo", "place_id": 31, "lat": 48.85, "lon": 2.35}',
+                     "missing field 'country'", id="no-country"),
+        pytest.param('{"type": "geo", "place_id": 31, "lat": 200, "lon": 2.35, "country": "FR"}',
+                     "coordinates (200, 2.35) out of range", id="lat-200"),
+        pytest.param('{"type": "tallies", "tallies": [{"country": "FR"}]}',
+                     "missing field 'hits'", id="tally-no-hits"),
+    ])
+    def test_malformed_annotation_exit_2(self, capsys, tmp_path, line, message):
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text(self.GOOD + "\n" + line + "\n")
+        svg_path = tmp_path / "map.svg"
+        code, out, err = run(capsys, "map", str(ann), "--out", str(svg_path))
+        assert code == 2 and out == ""
+        assert err.startswith("placetime: %s:2: %s" % (ann, message))
+        assert len(err.splitlines()) == 1
+        assert not svg_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_zero_canvas_exit_2(self, capsys, tmp_path, flag):
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text(self.GOOD + "\n")
+        code, out, err = run(capsys, "map", str(ann), "--out", str(tmp_path / "map.svg"),
+                             flag, "0")
+        assert (code, out, err) == (2, "", "placetime: --width and --height must be positive\n")
+
     def test_empty_annotations_exit_2(self, capsys, tmp_path):
         ann = tmp_path / "empty.jsonl"
         ann.write_text("")
@@ -328,3 +421,10 @@ class TestProposeStopwords:
                              "--frequency-list", str(freq), "--top-n", "10")
         assert code == 0
         assert out.splitlines() == ["Split", "And"]
+
+    def test_top_n_zero_exit_2(self, capsys, tmp_path):
+        freq = tmp_path / "freq.txt"
+        freq.write_text("the\nsplit\n")
+        code, out, err = run(capsys, "propose-stopwords", "--gazetteer", GAZ,
+                             "--frequency-list", str(freq), "--top-n", "0")
+        assert (code, out, err) == (2, "", "placetime: --top-n must be at least 1\n")

@@ -57,6 +57,19 @@ class TestLoad:
             load_gazetteer(path)
         assert ":2:" in str(err.value)
 
+    def test_shared_surface_merges_ids_sorted(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("7\tSplit\tSplit\tHR\t43.5\t16.4\t3\n"
+                        "2\tSplit\t\tUS\t40.0\t-80.0\t6\n")
+        m = load_gazetteer(path).match_at(tokenize("Split"), 0)
+        assert m.span == 1 and m.payload == (2, 7)
+
+    def test_unindexable_surface(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("1\tParis\t--\tFR\t48.85\t2.35\t1\n")
+        with pytest.raises(LoadError, match=r"g\.tsv: unindexable surface '--' for id 1"):
+            load_gazetteer(path)
+
     def test_load_determinism(self, data_dir):
         path = data_dir / "gazetteer" / "world_small.tsv"
         a = load_gazetteer(path)
@@ -143,6 +156,21 @@ class TestTriggers:
         m = trigger_index.match_at(tokenize("Marea Britanie azi"), 0)
         assert m.span == 2
         assert m.payload[0].country == "GB"
+
+    def test_first_trigger_in_file_wins_shared_surface(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("Congo\tCG\tcountry_name\nCongo\tCD\tcountry_name\n"
+                        "Congo River\tCD\tcountry_name\n")
+        m = gazetteer.load_triggers(path).match_at(tokenize("Congo today"), 0)
+        assert m.span == 1 and m.payload[0].country == "CG"
+        m = gazetteer.load_triggers(path).match_at(tokenize("Congo River"), 0)
+        assert m.span == 2 and m.payload[0].country == "CD"
+
+    def test_unindexable_surface(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("...\tFR\tcurrency\n")
+        with pytest.raises(LoadError, match=r"unindexable trigger surface '\.\.\.'"):
+            gazetteer.load_triggers(path)
 
     def test_bad_kind(self, tmp_path):
         path = tmp_path / "t.tsv"
