@@ -20,7 +20,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import annotate, dates, gazetteer, geotag, langid, mapviz
-from .errors import ConfigError, LoadError, PlacetimeError, TrainingError
+from .errors import ConfigError, LoadError, PlacetimeError, TrainingError, read_lines
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -99,12 +99,12 @@ def _open_out(args):
 def _decoder(args):
     """``decode(raw)`` with the declared, identified (no --lang) or UTF-8 encoding."""
     profiles = (langid.load_profile_dir(args.profiles)
-                if args.profiles and not args.encoding else None)
+                if args.profiles and not args.encoding and not args.lang else None)
 
     def decode(raw):
         if args.encoding:
             encoding = args.encoding
-        elif not args.lang and profiles:
+        elif profiles:
             encoding = langid.identify(profiles, raw)[0].label.encoding
         else:
             encoding = "UTF-8"
@@ -283,15 +283,11 @@ def cmd_map(args):
         raise ConfigError("--width and --height must be positive") from exc
     outline = mapviz.load_outline(args.outline)
     hits = Counter()
-    mentions = Counter()
     dots = {}
+    places = []
     records = 0
     for path in args.annotations:
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise ConfigError("cannot read annotations %s: %s" % (path, exc)) from exc
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(read_lines(path, "annotations"), start=1):
             if not line.strip():
                 continue
             try:
@@ -300,12 +296,14 @@ def cmd_map(args):
                     raise ValueError("not a JSON object")
                 if record.get("type") == "tallies":
                     for t in record["tallies"]:
+                        if not isinstance(t["country"], str):
+                            raise ValueError("bad tallies country %r" % (t["country"],))
                         hits[t["country"]] += t["hits"]
                 elif record.get("type") == "geo" and "place_id" in record:
                     pid = record["place_id"]
                     if pid not in dots:
                         dots[pid] = _place_dot(record)
-                    mentions[pid] += 1
+                    places.append(dots[pid])
             except json.JSONDecodeError as exc:
                 raise ConfigError("%s:%d: not JSON: %s" % (path, lineno, exc)) from exc
             except KeyError as exc:
@@ -319,8 +317,6 @@ def cmd_map(args):
     tallies = [geotag.CountryTally(c, n, 100.0 * n / total)
                for c, n in sorted(hits.items())] if total else []
     diagnostics = []
-    places = [mapviz.PlaceDot(pid, d.latitude, d.longitude, d.country, mentions[pid])
-              for pid, d in dots.items()]
     svg = mapviz.render_svg(tallies, places, outline, style, diagnostics)
     for message in diagnostics:
         print("placetime: %s" % message, file=sys.stderr)
@@ -335,12 +331,7 @@ def cmd_propose_stopwords(args):
     if args.top_n < 1:
         raise ConfigError("--top-n must be at least 1")
     index = gazetteer.load_gazetteer(args.gazetteer)
-    try:
-        words = [w.strip() for w in
-                 Path(args.frequency_list).read_text(encoding="utf-8").splitlines()
-                 if w.strip()]
-    except OSError as exc:
-        raise ConfigError("cannot read frequency list: %s" % exc) from exc
+    words = [w.strip() for w in read_lines(args.frequency_list, "frequency list") if w.strip()]
     proposals = gazetteer.propose_stop_words(index, words, args.top_n)
     with _open_out(args) as out:
         out.write("".join(surface + "\n" for surface in proposals))

@@ -27,9 +27,8 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
-from .errors import ConfigError, ContractError, LoadError
+from .errors import ConfigError, ContractError, LoadError, read_lines
 
 ORDER_DMY = "dmy"
 ORDER_MDY = "mdy"
@@ -141,14 +140,9 @@ _SECTIONS = ("meta", "months", "day_ordinals", "relative_days", "pre_modifiers",
 
 def load_date_lexicon(path) -> DateLexicon:
     """Parse a sectioned ``key = value`` parameter file (see data/lexicons)."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError("cannot read lexicon %s: %s" % (path, exc)) from exc
     sections = {name: [] for name in _SECTIONS}
     current = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, "lexicon"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -255,7 +249,6 @@ class NumericCandidate:
     length: int
     surface: str
     f1: str
-    sep: str
     f2: str
     f3: str
     ymd: bool
@@ -276,10 +269,10 @@ def find_numeric_dates(text: str):
     candidates = []
     taken = []              # ISO spans, sorted and disjoint
     for m in _RE_NUM_YMD.finditer(text):
-        f1, sep, f2, f3 = m.group(1), m.group(2), m.group(3), m.group(4)
+        f1, f2, f3 = m.group(1, 3, 4)
         candidates.append(NumericCandidate(
             offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
-            f1=f1, sep=sep, f2=f2, f3=f3, ymd=True,
+            f1=f1, f2=f2, f3=f3, ymd=True,
             dmy_possible=False, mdy_possible=False))
         taken.append((m.start(), m.end()))
     i = 0
@@ -288,11 +281,11 @@ def find_numeric_dates(text: str):
             i += 1
         if i < len(taken) and taken[i][0] < m.end():
             continue
-        f1, sep, f2, f3 = m.group(1), m.group(2), m.group(3), m.group(4)
+        f1, f2, f3 = m.group(1, 3, 4)
         a, b = int(f1), int(f2)
         candidates.append(NumericCandidate(
             offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
-            f1=f1, sep=sep, f2=f2, f3=f3, ymd=False,
+            f1=f1, f2=f2, f3=f3, ymd=False,
             dmy_possible=_day_ok(b, a), mdy_possible=_day_ok(a, b)))
     candidates.sort(key=lambda c: c.offset)
     return candidates

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the reader of its data files."""
+
+from pathlib import Path
 
 
 class PlacetimeError(Exception):
@@ -34,3 +36,34 @@ class LoadError(PlacetimeError):
 
 class ContractError(PlacetimeError):
     """Raised when an operation is called outside its contract."""
+
+
+def read_lines(path, what):
+    """The lines of the UTF-8 data file ``path`` (a ``what``, for messages).
+
+    A file that cannot be read, or holds a byte sequence that is not UTF-8,
+    raises :class:`LoadError`; the latter names the line of the first bad byte.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise LoadError("cannot read %s %s: %s" % (what, path, exc)) from exc
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise LoadError("%s:%d: not UTF-8" % (path, data.count(b"\n", 0, exc.start) + 1)) from exc
+
+
+def tsv_records(path, what, nfields):
+    """(line number, fields) per line of a TSV data file that is not blank or a ``#`` comment.
+
+    A line without exactly ``nfields`` tab-separated fields raises :class:`LoadError`.
+    """
+    for lineno, line in enumerate(read_lines(path, what), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != nfields:
+            raise LoadError("%s:%d: expected %d tab-separated fields, got %d"
+                            % (path, lineno, nfields, len(fields)))
+        yield lineno, fields

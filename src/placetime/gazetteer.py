@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import LoadError
+from .errors import LoadError, read_lines, tsv_records
 
 TRIGGER_KINDS = ("iso_code", "currency", "adjective", "country_name")
 
@@ -104,9 +103,6 @@ class GazetteerIndex:
             lambda surface, rid: "unindexable surface %r for id %d" % (surface, rid),
             lambda ids: tuple(sorted(set(ids))))
 
-    def __len__(self):
-        return len(self.records)
-
     def match_at(self, tokens, position):
         """Longest name/variant whose tokens start at ``position``, or None."""
         return _match_token_index(self._first, tokens, position)
@@ -172,20 +168,9 @@ def load_gazetteer(path, max_size_class=None, keep_countries=()) -> GazetteerInd
     When ``max_size_class`` is given, records of a larger (less important)
     size class are dropped unless their country is in ``keep_countries``.
     """
-    path = Path(path)
     records = []
     keep = frozenset(keep_countries)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError("cannot read gazetteer %s: %s" % (path, exc)) from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 7:
-            raise LoadError("%s:%d: expected 7 tab-separated fields, got %d"
-                            % (path, lineno, len(fields)))
+    for lineno, fields in tsv_records(path, "gazetteer", 7):
         rid, canonical, variants, country, lat, lon, size_class = fields
         try:
             rid = int(rid)
@@ -219,30 +204,14 @@ def load_gazetteer(path, max_size_class=None, keep_countries=()) -> GazetteerInd
 
 def load_stop_words(path, language: str) -> GeoStopList:
     """One surface form per line, exact-case, deduplicated."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError("cannot read stop-word list %s: %s" % (path, exc)) from exc
-    words = frozenset(w.strip() for w in lines if w.strip())
+    words = frozenset(w.strip() for w in read_lines(path, "stop-word list") if w.strip())
     return GeoStopList(language=language, words=words)
 
 
 def load_triggers(path) -> TriggerIndex:
     """TSV ``surface<TAB>country<TAB>kind`` with ``#`` comments."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError("cannot read trigger file %s: %s" % (path, exc)) from exc
     triggers = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise LoadError("%s:%d: expected 3 tab-separated fields" % (path, lineno))
-        surface, country, kind = fields
+    for lineno, (surface, country, kind) in tsv_records(path, "trigger file", 3):
         try:
             triggers.append(CountryTrigger(surface, country, kind))
         except ValueError as exc:

@@ -98,7 +98,7 @@ def unambiguous_tallies(matches, index: GazetteerIndex) -> Counter:
     return refs
 
 
-def disambiguate(matches, index: GazetteerIndex, refs: Counter | None = None):
+def disambiguate(matches, index: GazetteerIndex):
     """Resolve every match; returns a new list.
 
     The candidate of highest importance (lowest size class) wins by
@@ -107,8 +107,7 @@ def disambiguate(matches, index: GazetteerIndex, refs: Counter | None = None):
     count, then lexicographic country code.  Triggers resolve directly to
     their country.
     """
-    if refs is None:
-        refs = unambiguous_tallies(matches, index)
+    refs = unambiguous_tallies(matches, index)
     resolved = []
     for m in matches:
         if m.trigger is not None:

@@ -155,7 +155,10 @@ def load_profile(path) -> LangEncProfile:
     """Read a :func:`save_profile` file; LoadError names the first line breaking its rules."""
     path = Path(path)
     # An undecodable byte becomes a lone surrogate, which no field accepts.
-    lines = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    except OSError as exc:
+        raise LoadError("cannot read profile %s: %s" % (path, exc)) from exc
     header = lines[0].split() if lines else []
     try:
         if len(header) != 4 or header[0] != "#langenc":

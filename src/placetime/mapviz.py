@@ -7,11 +7,11 @@ Projection is plain equirectangular.  The outline file is TSV:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from xml.sax.saxutils import escape
 
-from .errors import ContractError, LoadError
+from .errors import ContractError, LoadError, tsv_records
 
 DEFAULT_RAMP = ("#fee5d9", "#fcae91", "#fb6a4a", "#cb181d")
 NEUTRAL_FILL = "#e8e8e8"
@@ -73,19 +73,8 @@ def bucket_frequencies(tallies, ramp_size: int):
 
 def load_outline(path):
     """Outline TSV -> {country: [polygon, ...]}, polygon = [(lon, lat), ...]."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise LoadError("cannot read outline %s: %s" % (path, exc)) from exc
     outline = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise LoadError("%s:%d: expected 3 tab-separated fields" % (path, lineno))
-        country, index, coords = fields
+    for lineno, (country, index, coords) in tsv_records(path, "outline", 3):
         if len(country) != 2 or not country.isupper():
             raise LoadError("%s:%d: bad country code %r" % (path, lineno, country))
         try:
@@ -143,21 +132,19 @@ def render_svg(tallies, places, outline, style: MapStyle | None = None,
             diagnostics.append("no outline for country %s; fill skipped" % country)
 
     dots = {}
+    mentions = Counter()
     for p in places:
-        if p.place_id in dots:
-            prev = dots[p.place_id]
-            dots[p.place_id] = PlaceDot(p.place_id, prev.latitude, prev.longitude,
-                                        prev.country, prev.mentions + p.mentions)
-        else:
+        if p.place_id not in dots:
             dots[p.place_id] = p
-        if p.country not in outline and diagnostics is not None:
-            diagnostics.append("no outline for country %s (place %d); dot still drawn"
-                               % (p.country, p.place_id))
-    total_mentions = sum(d.mentions for d in dots.values())
+            if p.country not in outline and diagnostics is not None:
+                diagnostics.append("no outline for country %s (place %d); dot still drawn"
+                                   % (p.country, p.place_id))
+        mentions[p.place_id] += p.mentions
+    total_mentions = sum(mentions.values())
     lines.append('<g id="places" fill="#08306b" fill-opacity="0.8">')
     for pid in sorted(dots):
         dot = dots[pid]
-        share = dot.mentions / total_mentions if total_mentions else 0.0
+        share = mentions[pid] / total_mentions if total_mentions else 0.0
         radius = style.r_min + share * (style.r_max - style.r_min)
         x, y = project(dot.latitude, dot.longitude, style)
         lines.append('<circle id="place-%d" cx="%s" cy="%s" r="%s"/>'

@@ -85,6 +85,19 @@ class TestIdentify:
         assert len(err.splitlines()) == 1
 
 
+    def test_unreadable_profile_exit_2(self, capsys, tmp_path, profile_dir):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        (profiles / "en.prof").write_bytes((profile_dir / "en.prof").read_bytes())
+        (profiles / "x.prof").mkdir()
+        doc = tmp_path / "doc.txt"
+        doc.write_text("hello there")
+        code, out, err = run(capsys, "identify", str(doc), "--profiles", str(profiles))
+        assert code == 2 and out == ""
+        assert err.startswith("placetime: cannot read profile %s: " % (profiles / "x.prof"))
+        assert len(err.splitlines()) == 1
+
+
 class TestTrainProfile:
     def test_missing_corpus_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "en.prof"
@@ -269,6 +282,17 @@ class TestPlaces:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["dates", "places"])
+def test_lang_skips_profile_loading(capsys, tmp_path, command):
+    argv = {"dates": ["--lexicon", LEX_EN], "places": ["--gazetteer", GAZ]}[command]
+    doc = tmp_path / "doc.txt"
+    doc.write_text("Paris, 21 March 2001.")
+    plain = run(capsys, command, str(doc), *argv, "--lang", "en")
+    code, out, err = run(capsys, command, str(doc), *argv, "--lang", "en",
+                         "--profiles", str(tmp_path / "nonexistent"))
+    assert (code, out, err) == plain and code == 0 and out
+
+
 @pytest.mark.parametrize("command", ["identify", "dates", "places"])
 def test_missing_file_skipped_in_input_order(capsys, tmp_path, profile_dir, command):
     flags = {"identify": ["--profiles", str(profile_dir)],
@@ -386,6 +410,9 @@ class TestMap:
                      "coordinates (200, 2.35) out of range", id="lat-200"),
         pytest.param('{"type": "tallies", "tallies": [{"country": "FR"}]}',
                      "missing field 'hits'", id="tally-no-hits"),
+        pytest.param('{"type": "tallies", "tallies": [{"country": 5, "hits": 1}, '
+                     '{"country": "FR", "hits": 1}]}',
+                     "bad tallies country 5", id="tally-country-not-string"),
     ])
     def test_malformed_annotation_exit_2(self, capsys, tmp_path, line, message):
         ann = tmp_path / "ann.jsonl"
@@ -428,3 +455,37 @@ class TestProposeStopwords:
         code, out, err = run(capsys, "propose-stopwords", "--gazetteer", GAZ,
                              "--frequency-list", str(freq), "--top-n", "0")
         assert (code, out, err) == (2, "", "placetime: --top-n must be at least 1\n")
+
+
+NOT_UTF8 = {  # flag -> (file name, contents with an ISO-8859-2 byte, its line)
+    "--gazetteer": ("g.tsv", b"# places\n1\tKrak\xf3w\t\tPL\t50.06\t19.94\t2\n", 2),
+    "--stopwords": ("s.txt", b"Split\nKrak\xf3w\n", 2),
+    "--triggers": ("t.tsv", b"# triggers\nPoland\tPL\tcountry_name\n"
+                   b"Polsk\xe1\tPL\tadjective\n", 3),
+    "--lexicon": ("l.lex", b"[meta]\nlanguage = pl\n# miesi\xb1ce\n[months]\n", 3),
+    "annotation": ("a.jsonl", TestMap.GOOD.encode() + b"\n{\"surface\": \"Krak\xf3w\"}\n", 2),
+    "--outline": ("o.tsv", b"# outline\nPL\t0\t14,49 24,49 24,54\n# Krak\xf3w\n", 3),
+    "--frequency-list": ("f.txt", b"the\nKrak\xf3w\n", 2),
+}
+
+
+@pytest.mark.parametrize("flag", NOT_UTF8)
+def test_data_file_not_utf8_exit_2(capsys, tmp_path, flag):
+    name, contents, line = NOT_UTF8[flag]
+    bad = tmp_path / name
+    bad.write_bytes(contents)
+    doc = tmp_path / "doc.txt"
+    doc.write_text("Paris, 21 March 2001.")
+    ann = tmp_path / "good.jsonl"
+    ann.write_text(TestMap.GOOD + "\n")
+    svg = str(tmp_path / "map.svg")
+    argv = {"--gazetteer": ["places", str(doc), "--gazetteer", str(bad)],
+            "--stopwords": ["places", str(doc), "--gazetteer", GAZ, "--stopwords", str(bad)],
+            "--triggers": ["places", str(doc), "--gazetteer", GAZ, "--triggers", str(bad)],
+            "--lexicon": ["dates", str(doc), "--lexicon", str(bad)],
+            "annotation": ["map", str(ann), str(bad), "--out", svg],
+            "--outline": ["map", str(ann), "--outline", str(bad), "--out", svg],
+            "--frequency-list": ["propose-stopwords", "--gazetteer", GAZ,
+                                 "--frequency-list", str(bad)]}[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "placetime: %s:%d: not UTF-8\n" % (bad, line))

@@ -25,7 +25,7 @@ class TestLoad:
     def test_comments_only(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("# nothing here\n\n# still nothing\n")
-        assert len(load_gazetteer(path)) == 0
+        assert len(load_gazetteer(path).records) == 0
 
     def test_single_row(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -81,7 +81,7 @@ class TestLoad:
         path = data_dir / "gazetteer" / "world_small.tsv"
         full = load_gazetteer(path)
         small = load_gazetteer(path, max_size_class=2, keep_countries=("BG",))
-        assert len(small) < len(full)
+        assert len(small.records) < len(full.records)
         # BG villages survive, foreign ones don't
         assert any(r.country == "BG" and r.size_class == 6 for r in small.records.values())
         assert not any(r.country == "PL" and r.size_class == 6 for r in small.records.values())

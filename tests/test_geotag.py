@@ -83,7 +83,7 @@ class TestDisambiguate:
         matches = tag_places(text, gaz_index, None, trigger_index)
         refs = unambiguous_tallies(matches, gaz_index)
         assert refs["IQ"] == 2
-        out = disambiguate(matches, gaz_index, refs)
+        out = disambiguate(matches, gaz_index)
         assert out[0].resolved == "IQ"
 
     def test_reference_counts_exclude_ambiguous(self, gaz_index):

@@ -141,3 +141,14 @@ class TestRender:
                          diagnostics=diags)
         assert len(ET.fromstring(svg).findall(".//%scircle" % SVG_NS)) == 1
         assert any("ZZ" in d for d in diags)
+
+    def test_duplicate_dots_merge_and_report_once(self, outline):
+        diags = []
+        london = PlaceDot(30, 51.51, -0.13, "GB", 1)
+        merged = render_svg([], [PlaceDot(99, 10.0, 10.0, "ZZ", 1), PlaceDot(98, 5.0, 5.0, "YY", 1),
+                                 PlaceDot(99, 10.0, 10.0, "ZZ", 2), london],
+                            outline, diagnostics=diags)
+        assert merged == render_svg([], [london, PlaceDot(98, 5.0, 5.0, "YY", 1),
+                                         PlaceDot(99, 10.0, 10.0, "ZZ", 3)], outline)
+        assert diags == ["no outline for country ZZ (place 99); dot still drawn",
+                         "no outline for country YY (place 98); dot still drawn"]
