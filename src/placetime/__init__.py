@@ -12,7 +12,7 @@ from .dates import (DateKind, DateLexicon, DateMatch, NormalizedDate,  # noqa: F
                     extract_dates, load_date_lexicon, resolve_relative)
 from .gazetteer import (CountryTrigger, GazetteerIndex, GeoStopList,  # noqa: F401
                         PlaceRecord, load_gazetteer, load_stop_words,
-                        load_triggers, propose_stop_words, tokenize)
+                        load_triggers, name_table, propose_stop_words, tokenize)
 from .geotag import (CountryTally, GeoMatch, aggregate_by_country,  # noqa: F401
                      disambiguate, tag_places)
 from .langid import (ENCODING_REGISTRY, LangEncLabel, LangEncProfile,  # noqa: F401

@@ -15,6 +15,7 @@ import contextlib
 import datetime
 import functools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -249,11 +250,12 @@ def cmd_places(args):
     stop_list = (gazetteer.load_stop_words(args.stopwords, args.lang or "")
                  if args.stopwords else None)
     triggers = gazetteer.load_triggers(args.triggers) if args.triggers else None
+    table = gazetteer.name_table(index, triggers)
     decode = _decoder(args)
 
     def analyse(path, raw):
         text = decode(raw)
-        matches = geotag.tag_places(text, index, stop_list, triggers)
+        matches = geotag.tag_places(text, table, stop_list)
         resolved = geotag.disambiguate(matches, index)
         tallies = geotag.aggregate_by_country(resolved, index)
         return text, resolved, [
@@ -283,6 +285,7 @@ def cmd_map(args):
         raise ConfigError("--width and --height must be positive") from exc
     outline = mapviz.load_outline(args.outline)
     hits = Counter()
+    hits_sum = 0.0  # kept small enough that every percentage of it is finite
     dots = {}
     places = []
     records = 0
@@ -296,9 +299,16 @@ def cmd_map(args):
                     raise ValueError("not a JSON object")
                 if record.get("type") == "tallies":
                     for t in record["tallies"]:
-                        if not isinstance(t["country"], str):
-                            raise ValueError("bad tallies country %r" % (t["country"],))
-                        hits[t["country"]] += t["hits"]
+                        country, n = t["country"], t["hits"]
+                        if not isinstance(country, str):
+                            raise ValueError("bad tallies country %r" % (country,))
+                        if (isinstance(n, bool) or not isinstance(n, (int, float))
+                                or not 0 <= n <= sys.float_info.max):
+                            raise ValueError("bad tallies hits %r" % (n,))
+                        hits_sum += n
+                        if not math.isfinite(100.0 * hits_sum):
+                            raise ValueError("tallies hits sum %g is too large" % hits_sum)
+                        hits[country] += n
                 elif record.get("type") == "geo" and "place_id" in record:
                     pid = record["place_id"]
                     if pid not in dots:

@@ -41,17 +41,22 @@ class ContractError(PlacetimeError):
 def read_lines(path, what):
     """The lines of the UTF-8 data file ``path`` (a ``what``, for messages).
 
-    A file that cannot be read, or holds a byte sequence that is not UTF-8,
-    raises :class:`LoadError`; the latter names the line of the first bad byte.
+    Lines end at a line feed only, and each loses one trailing carriage
+    return; a final line feed adds no empty line.  A file that cannot be
+    read, or holds a byte sequence that is not UTF-8, raises
+    :class:`LoadError`; the latter names the line of the first bad byte.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise LoadError("cannot read %s %s: %s" % (what, path, exc)) from exc
     try:
-        return data.decode("utf-8").splitlines()
+        lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise LoadError("%s:%d: not UTF-8" % (path, data.count(b"\n", 0, exc.start) + 1)) from exc
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
 
 
 def tsv_records(path, what, nfields):

@@ -3,12 +3,12 @@
 The gazetteer file is UTF-8 TSV:
 ``id<TAB>canonical<TAB>variant1|variant2|...<TAB>country<TAB>lat<TAB>lon<TAB>size_class``
 with ``#`` comment lines.  Lookup is a dictionary match over whitespace
-tokens, longest name first, exact-case.
+tokens, longest name first, exact-case; :func:`name_table` puts places and
+country triggers under one first-token table for tagging.
 """
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -16,36 +16,48 @@ from .errors import LoadError, read_lines, tsv_records
 
 TRIGGER_KINDS = ("iso_code", "currency", "adjective", "country_name")
 
-_NONSPACE = re.compile(r"\S+")
 
+@dataclass
+class Tokens:
+    """Whitespace tokens as parallel columns: stripped text, start and end offset."""
+    texts: list
+    starts: list
+    ends: list
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    start: int
-    end: int
+    def __len__(self):
+        return len(self.texts)
 
 
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
-def tokenize(text: str):
+def tokenize(text: str) -> Tokens:
     """Split on whitespace and strip leading/trailing punctuation.
 
     Internal hyphens and apostrophes survive ("Nord-Pas de Calais" gives
     the three tokens "Nord-Pas", "de", "Calais").  Offsets address the
     stripped core in the original text.
     """
-    tokens = []
-    for m in _NONSPACE.finditer(text):
-        s, e = m.start(), m.end()
-        while s < e and _is_punct(text[s]):
-            s += 1
-        while e > s and _is_punct(text[e - 1]):
-            e -= 1
-        if e > s:
-            tokens.append(Token(text[s:e], s, e))
+    tokens = Tokens([], [], [])
+    texts, starts, ends = tokens.texts, tokens.starts, tokens.ends
+    end = 0
+    for word in text.split():
+        start = text.find(word, end)
+        end = start + len(word)
+        s, e = start, end
+        # An alphanumeric character is never punctuation, so most words need no lookup.
+        if not (word[0].isalnum() and word[-1].isalnum()):
+            while s < e and _is_punct(text[s]):
+                s += 1
+            while e > s and _is_punct(text[e - 1]):
+                e -= 1
+            if s == e:
+                continue
+            word = text[s:e]
+        texts.append(word)
+        starts.append(s)
+        ends.append(e)
     return tokens
 
 
@@ -70,8 +82,8 @@ class CountryTrigger:
     kind: str
 
     def __post_init__(self):
-        if not self.surface:
-            raise ValueError("trigger surface must be nonempty")
+        if not tokenize(self.surface):
+            raise ValueError("unindexable trigger surface %r" % (self.surface,))
         if self.kind not in TRIGGER_KINDS:
             raise ValueError("unknown trigger kind %r" % (self.kind,))
 
@@ -114,7 +126,7 @@ class GazetteerIndex:
             for surface in rec.surfaces():
                 toks = tokenize(surface)
                 if len(toks) == 1:
-                    out.add(toks[0].text)
+                    out.add(toks.texts[0])
         return out
 
 
@@ -138,7 +150,7 @@ def _first_token_index(named, unindexable, payload):
     """
     by_key = {}
     for surface, value in named:
-        key = tuple(t.text for t in tokenize(surface))
+        key = tuple(tokenize(surface).texts)
         if not key:
             raise LoadError(unindexable(surface, value))
         by_key.setdefault(key, []).append(value)
@@ -151,15 +163,41 @@ def _first_token_index(named, unindexable, payload):
 def _match_token_index(first_index, tokens, position):
     if position < 0 or position >= len(tokens):
         raise IndexError("position %d outside token sequence" % position)
-    entries = first_index.get(tokens[position].text)
-    if not entries:
-        return None
-    for key, payload in entries:  # sorted longest first
-        if position + len(key) > len(tokens):
-            continue
-        if all(tokens[position + i].text == key[i] for i in range(len(key))):
+    texts = tokens.texts
+    for key, payload in first_index.get(texts[position], ()):  # sorted longest first
+        if tuple(texts[position:position + len(key)]) == key:
             return SpanMatch(span=len(key), payload=payload)
     return None
+
+
+def _starts_upper(token_text: str) -> bool:
+    for ch in token_text:
+        if ch.isalpha():
+            return ch.isupper() or ch.istitle()
+    return False
+
+
+def name_table(index: GazetteerIndex, triggers: TriggerIndex | None = None):
+    """One first-token table over place names and country triggers.
+
+    Maps a token to its entries ``(key, candidates, trigger)``: ``key`` lists a
+    surface's tokens, and a place entry holds the surface's sorted place ids
+    and no trigger, a trigger entry no ids and the surface's first trigger in
+    file order.  Entries run longest key first, a place before a trigger of the
+    same length, so the first entry whose key matches at a position is the
+    match there.  Places are listed only under a token whose first cased
+    character is upper-case; triggers need no capital.  The table serves every
+    document of a run.
+    """
+    table = {}
+    for first, entries in index._first.items():
+        if _starts_upper(first):
+            table[first] = [(list(key), ids, None) for key, ids in entries]
+    for first, entries in triggers._first.items() if triggers is not None else ():
+        merged = table.setdefault(first, [])
+        merged += [(list(key), (), trigs[0]) for key, trigs in entries]
+        merged.sort(key=lambda entry: -len(entry[0]))  # stable: places stay first
+    return table
 
 
 def load_gazetteer(path, max_size_class=None, keep_countries=()) -> GazetteerIndex:

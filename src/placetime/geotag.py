@@ -1,12 +1,14 @@
 """Place-name tagging, homograph disambiguation and per-country tallies.
 
-Every token whose first cased character is upper-case is tested against
-the gazetteer (longest multi-word name wins).  Country triggers - ISO
-codes, currency names, demonym adjectives, foreign country names - count
-as a hit for their country and bypass disambiguation.  Homograph places
-are resolved by importance (size class 1 beats 4) unless another
-candidate's country has strictly more unambiguous references in the
-document.
+Place names and country triggers - ISO codes, currency names, demonym
+adjectives, foreign country names - are looked up in one first-token table
+(:func:`~placetime.gazetteer.name_table`).  At each token the longest
+matching surface wins, and a place beats a trigger of the same length.  A
+place needs a token whose first cased character is upper-case; a trigger
+needs no capital.  A trigger counts as a hit for its country and bypasses
+disambiguation.  Homograph places are resolved by importance (size class 1
+beats 4) unless another candidate's country has strictly more unambiguous
+references in the document.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .gazetteer import CountryTrigger, GazetteerIndex, GeoStopList, TriggerIndex, tokenize
+from .gazetteer import CountryTrigger, GazetteerIndex, GeoStopList, tokenize
 
 
 @dataclass(frozen=True)
@@ -42,48 +44,31 @@ class CountryTally:
     percentage: float
 
 
-def _starts_upper(token_text: str) -> bool:
-    for ch in token_text:
-        if ch.isalpha():
-            return ch.isupper() or ch.istitle()
-    return False
-
-
-def tag_places(text, index: GazetteerIndex, stop_list: GeoStopList | None = None,
-               triggers: TriggerIndex | None = None):
+def tag_places(text, table, stop_list: GeoStopList | None = None):
     """Scan decoded text for place names and country triggers.
 
-    Matches are non-overlapping, longest-first, left to right; surfaces
-    found in the stop list are dropped.  Candidates are left unresolved.
+    ``table`` is :func:`~placetime.gazetteer.name_table` of the gazetteer and
+    triggers.  Matches are non-overlapping, longest-first, left to right;
+    surfaces found in the stop list are dropped.  Candidates are left unresolved.
     """
     stop_words = stop_list.words if stop_list is not None else frozenset()
     tokens = tokenize(text)
+    texts, starts, ends = tokens.texts, tokens.starts, tokens.ends
     matches = []
-    i = 0
-    while i < len(tokens):
-        place = index.match_at(tokens, i) if _starts_upper(tokens[i].text) else None
-        trig = triggers.match_at(tokens, i) if triggers is not None else None
-        best = None
-        if place is not None and (trig is None or place.span >= trig.span):
-            start = tokens[i].start
-            end = tokens[i + place.span - 1].end
-            best = GeoMatch(offset=start, length=end - start,
-                            surface=text[start:end], candidates=place.payload)
-            span = place.span
-        elif trig is not None:
-            start = tokens[i].start
-            end = tokens[i + trig.span - 1].end
-            best = GeoMatch(offset=start, length=end - start,
-                            surface=text[start:end], trigger=trig.payload[0])
-            span = trig.span
-        if best is None:
-            i += 1
+    free = 0  # the first token not inside an earlier match
+    for i, entries in enumerate(map(table.get, texts)):
+        if entries is None or i < free:
             continue
-        if best.surface in stop_words:
-            i += span
-            continue
-        matches.append(best)
-        i += span
+        for key, candidates, trigger in entries:
+            span = len(key)
+            if span > 1 and texts[i:i + span] != key:
+                continue
+            start, end = starts[i], ends[i + span - 1]
+            surface = text[start:end]
+            if surface not in stop_words:
+                matches.append(GeoMatch(start, end - start, surface, candidates, trigger))
+            free = i + span
+            break
     return matches
 
 

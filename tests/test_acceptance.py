@@ -18,6 +18,7 @@ import pytest
 from placetime import dates, gazetteer, geotag, langid, mapviz
 from placetime.annotate import annotate_inline, strip_inline
 from placetime.dates import DateKind, NormalizedDate, extract_dates, resolve_relative
+from placetime.gazetteer import name_table
 from placetime.geotag import aggregate_by_country, disambiguate, tag_places
 
 import corpusgen
@@ -37,7 +38,7 @@ def criterion(number, name):
 
 
 def resolve_places(text, index, stop_list=None, triggers=None):
-    return disambiguate(tag_places(text, index, stop_list, triggers), index)
+    return disambiguate(tag_places(text, name_table(index, triggers), stop_list), index)
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -136,9 +137,9 @@ def test_criterion_5_stop_word_suppression(gaz_index, stop_list_en):
     with criterion(5, "geo stop-word suppression"):
         text = "Split talks: And said Annan would attend."
         assert {"Split", "And", "Annan"} <= stop_list_en.words
-        suppressed = tag_places(text, gaz_index, stop_list_en)
+        suppressed = tag_places(text, name_table(gaz_index), stop_list_en)
         assert [m.surface for m in suppressed] == []
-        unsuppressed = tag_places(text, gaz_index)
+        unsuppressed = tag_places(text, name_table(gaz_index))
         assert {m.surface for m in unsuppressed} == {"Split", "And", "Annan"}
 
 
@@ -237,6 +238,7 @@ def _walk_relative_month(month, sign, reference):
 def test_criterion_8_property_suites(gaz_index, lexicon_en, data_dir):
     with criterion(8, "property suites"):
         rng = random.Random(97)
+        table = name_table(gaz_index)
 
         # offset fidelity + inline round-trip on 1,000 random fixtures
         for _ in range(1000):
@@ -245,7 +247,7 @@ def test_criterion_8_property_suites(gaz_index, lexicon_en, data_dir):
             for m in extract_dates(text, lexicon_en):
                 assert text[m.offset:m.offset + m.length] == m.surface
                 spans.append((m.offset, m.length, "date", m.normal.to_string()))
-            for m in tag_places(text, gaz_index):
+            for m in tag_places(text, table):
                 assert text[m.offset:m.offset + m.length] == m.surface
             assert strip_inline(annotate_inline(text, spans)) == text
 

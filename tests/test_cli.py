@@ -413,6 +413,13 @@ class TestMap:
         pytest.param('{"type": "tallies", "tallies": [{"country": 5, "hits": 1}, '
                      '{"country": "FR", "hits": 1}]}',
                      "bad tallies country 5", id="tally-country-not-string"),
+        pytest.param('{"type": "tallies", "tallies": [{"country": "FR", "hits": 1e308}, '
+                     '{"country": "DE", "hits": 1e308}]}',
+                     "tallies hits sum 1e+308 is too large", id="tally-hits-overflow"),
+        pytest.param('{"type": "tallies", "tallies": [{"country": "FR", "hits": NaN}]}',
+                     "bad tallies hits nan", id="tally-hits-nan"),
+        pytest.param('{"type": "tallies", "tallies": [{"country": "FR", "hits": -3}]}',
+                     "bad tallies hits -3", id="tally-hits-negative"),
     ])
     def test_malformed_annotation_exit_2(self, capsys, tmp_path, line, message):
         ann = tmp_path / "ann.jsonl"

@@ -1,24 +1,45 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placetime import gazetteer
 from placetime.errors import LoadError
 from placetime.gazetteer import load_gazetteer, load_stop_words, propose_stop_words, tokenize
 
+import tagging_oracle
+
+# Whitespace, punctuation, symbols, then letters, digits and marks, then anything.
+_TOKEN_CHARS = st.one_of(
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2000\u2028\u2029\u3000"),
+    st.sampled_from("!\"#%&'()*,-./:;?@[\\]_{}\xa1\xa7\xab\xb6\xb7\xbb\xbf\u2010\u2013\u2014"
+                    "\u2018\u2019\u201c\u201d\u201e\u2026\u3001\u3002\u300c\u300d"),
+    st.sampled_from("$+<=>^`|~\xa2\xa3\xa9\xb0\xb1\xb9\xb2\xbc\u2160"),
+    st.characters(categories=("L", "M", "N")),
+    st.characters(),
+)
+
 
 class TestTokenize:
     def test_strips_outer_punctuation(self):
         toks = tokenize('He said: "Stara Zagora!"')
-        assert [t.text for t in toks] == ["He", "said", "Stara", "Zagora"]
+        assert toks.texts == ["He", "said", "Stara", "Zagora"]
 
     def test_keeps_internal_hyphen_and_apostrophe(self):
         toks = tokenize("Nord-Pas de Calais and the festival's end")
-        assert toks[0].text == "Nord-Pas"
-        assert "festival's" in [t.text for t in toks]
+        assert toks.texts[0] == "Nord-Pas"
+        assert "festival's" in toks.texts
 
     def test_offsets_address_core(self):
         text = " (Paris), then"
-        tok = tokenize(text)[0]
-        assert text[tok.start:tok.end] == "Paris"
+        toks = tokenize(text)
+        assert text[toks.starts[0]:toks.ends[0]] == "Paris"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(_TOKEN_CHARS, max_size=60))
+    def test_columns_equal_per_character_strip(self, text):
+        toks = tokenize(text)
+        assert len(toks) == len(toks.texts) == len(toks.starts) == len(toks.ends)
+        assert list(zip(toks.texts, toks.starts, toks.ends)) == tagging_oracle.tokenize(text)
 
 
 class TestLoad:
@@ -169,7 +190,7 @@ class TestTriggers:
     def test_unindexable_surface(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("...\tFR\tcurrency\n")
-        with pytest.raises(LoadError, match=r"unindexable trigger surface '\.\.\.'"):
+        with pytest.raises(LoadError, match=r"t\.tsv:1: unindexable trigger surface '\.\.\.'"):
             gazetteer.load_triggers(path)
 
     def test_bad_kind(self, tmp_path):

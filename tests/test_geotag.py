@@ -1,12 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placetime import geotag
+from placetime.gazetteer import (TRIGGER_KINDS, CountryTrigger, GazetteerIndex, GeoStopList,
+                                 PlaceRecord, TriggerIndex, name_table, tokenize)
 from placetime.geotag import (aggregate_by_country, disambiguate, tag_places,
                               unambiguous_tallies)
 
+import tagging_oracle
+
 
 def resolve(text, gaz_index, stop_list=None, triggers=None):
-    matches = tag_places(text, gaz_index, stop_list, triggers)
+    matches = tag_places(text, name_table(gaz_index, triggers), stop_list)
     return disambiguate(matches, gaz_index)
 
 
@@ -22,41 +28,42 @@ def resolved_countries(text, gaz_index, **kw):
 
 class TestTagPlaces:
     def test_case_gate(self, gaz_index):
-        assert tag_places("He went to paris anyway", gaz_index) == []
-        m = tag_places("He went to Paris anyway", gaz_index)
+        assert tag_places("He went to paris anyway", name_table(gaz_index)) == []
+        m = tag_places("He went to Paris anyway", name_table(gaz_index))
         assert len(m) == 1 and m[0].surface == "Paris"
 
     def test_offsets_are_faithful(self, gaz_index):
         text = "From London, via Stara Zagora, to Roma."
-        for m in tag_places(text, gaz_index):
+        for m in tag_places(text, name_table(gaz_index)):
             assert text[m.offset:m.offset + m.length] == m.surface
 
     def test_longest_name_wins(self, gaz_index):
-        m = tag_places("Visiting Stara Zagora soon", gaz_index)
+        m = tag_places("Visiting Stara Zagora soon", name_table(gaz_index))
         assert len(m) == 1
         assert m[0].surface == "Stara Zagora"
         assert len(m[0].candidates) == 1
 
     def test_no_overlapping_matches(self, gaz_index):
-        matches = tag_places("Stara Zagora and Stara Planina border towns", gaz_index)
+        matches = tag_places("Stara Zagora and Stara Planina border towns",
+                             name_table(gaz_index))
         spans = sorted((m.offset, m.offset + m.length) for m in matches)
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
 
     def test_stop_word_suppressed(self, gaz_index, stop_list_en):
         text = "Talks in Split and Annan attended."
-        with_stop = tag_places(text, gaz_index, stop_list_en)
+        with_stop = tag_places(text, name_table(gaz_index), stop_list_en)
         assert [m.surface for m in with_stop] == []
-        without = tag_places(text, gaz_index)
+        without = tag_places(text, name_table(gaz_index))
         assert {m.surface for m in without} >= {"Split", "Annan"}
 
     def test_trigger_lowercase_matches(self, gaz_index, trigger_index):
-        m = tag_places("paid in forint today", gaz_index, None, trigger_index)
+        m = tag_places("paid in forint today", name_table(gaz_index, trigger_index))
         assert len(m) == 1
         assert m[0].trigger.country == "HU"
 
     def test_paris_ambiguous(self, gaz_index):
-        m = tag_places("Paris", gaz_index)[0]
+        m = tag_places("Paris", name_table(gaz_index))[0]
         assert m.is_ambiguous
         assert len(m.candidates) == 14
 
@@ -80,14 +87,14 @@ class TestDisambiguate:
     def test_trigger_beats_importance(self, gaz_index, trigger_index):
         # Iraqi adjective counts for IQ but never needs disambiguation
         text = "Iraqi ministers met in Baghdad."
-        matches = tag_places(text, gaz_index, None, trigger_index)
+        matches = tag_places(text, name_table(gaz_index, trigger_index))
         refs = unambiguous_tallies(matches, gaz_index)
         assert refs["IQ"] == 2
         out = disambiguate(matches, gaz_index)
         assert out[0].resolved == "IQ"
 
     def test_reference_counts_exclude_ambiguous(self, gaz_index):
-        matches = tag_places("Paris and London and Paris", gaz_index)
+        matches = tag_places("Paris and London and Paris", name_table(gaz_index))
         refs = unambiguous_tallies(matches, gaz_index)
         assert refs == {"GB": 1}
 
@@ -119,7 +126,7 @@ class TestAggregate:
         assert tallies[0].percentage == pytest.approx(50.0)
 
     def test_unresolved_rejected(self, gaz_index):
-        matches = tag_places("Paris", gaz_index)
+        matches = tag_places("Paris", name_table(gaz_index))
         with pytest.raises(ValueError):
             aggregate_by_country(matches, gaz_index)
 
@@ -127,3 +134,61 @@ class TestAggregate:
         out = resolve("Iraqi claims about Baghdad", gaz_index, triggers=trigger_index)
         tallies = aggregate_by_country(out, gaz_index)
         assert tallies == [geotag.CountryTally("IQ", 2, 100.0)]
+
+
+# -- the first-token table against the per-token oracle ----------------------
+
+# Few words in several cases, so that places, triggers, stop words and text
+# share first tokens and keys of every length.
+_WORDS = ("Nord", "nord", "NORD", "Pas", "de", "Calais", "Congo", "congo", "River", "New",
+          "St.", "\u00c9ire", "\u00e9ire", "\u01c5x", "42", "4th", "Ab-Cd", "'s", "(Paris)")
+_SEPARATORS = (" ", " ", " ", "\t", "\n", "\x85", "\u2028", "\u3000", ", ", ". ", " \u2014 ")
+
+
+def _joined(words, separators):
+    return st.lists(st.tuples(st.sampled_from(words), st.sampled_from(separators)),
+                    min_size=1, max_size=30).map(lambda parts: "".join(w + s for w, s in parts))
+
+
+def _surfaces(words):
+    return st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_tagging_equals_oracle(data):
+    surfaces = _surfaces(_WORDS)
+    names = data.draw(st.lists(st.tuples(surfaces, st.lists(surfaces, max_size=2)),
+                               max_size=12))
+    index = GazetteerIndex([PlaceRecord(i, canonical, tuple(variants), "FR", 0.0, 0.0, 1)
+                            for i, (canonical, variants) in enumerate(names)])
+    triggers = data.draw(st.none() | st.lists(
+        st.builds(CountryTrigger, surfaces, st.sampled_from(("CG", "CD", "FR")),
+                  st.sampled_from(TRIGGER_KINDS)), max_size=8).map(TriggerIndex))
+    stop_words = data.draw(st.frozensets(surfaces, max_size=4))
+    text = data.draw(_joined(_WORDS, _SEPARATORS) | st.text(max_size=40))
+    assert (tag_places(text, name_table(index, triggers), GeoStopList("en", stop_words))
+            == tagging_oracle.tag_places(text, index, stop_words, triggers))
+
+
+def test_table_tagging_equals_oracle_on_fixtures(corpus_dir, gaz_index, stop_list_en,
+                                                 trigger_index):
+    table = name_table(gaz_index, trigger_index)
+    for path in sorted(corpus_dir.glob("*.txt")):
+        text = path.read_text(encoding="utf-8")
+        assert tag_places(text, table, stop_list_en) == tagging_oracle.tag_places(
+            text, gaz_index, stop_list_en.words, trigger_index), path.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_tagging_equals_oracle_on_shipped_data(data, gaz_index, stop_list_en,
+                                                     trigger_index):
+    words = sorted({w for rec in gaz_index.records.values() for surface in rec.surfaces()
+                    for w in tokenize(surface).texts}
+                   | {w for t in trigger_index.triggers for w in tokenize(t.surface).texts}
+                   | stop_list_en.words)
+    words += [w.lower() for w in words] + ["the", "in", "Mr."]
+    text = data.draw(_joined(words, _SEPARATORS))
+    assert (tag_places(text, name_table(gaz_index, trigger_index), stop_list_en)
+            == tagging_oracle.tag_places(text, gaz_index, stop_list_en.words, trigger_index))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from placetime import langid
 from placetime.cli import DATA_DIR
 from placetime.dates import load_date_lexicon
-from placetime.errors import ConfigError, LoadError
+from placetime.errors import ConfigError, LoadError, read_lines
 from placetime.gazetteer import load_gazetteer, load_stop_words, load_triggers
 from placetime.mapviz import load_outline
 
@@ -72,3 +72,19 @@ def test_loader_raises_only_load_or_config_error(tmp_path_factory, shipped, name
         LOADERS[name][0](path)
     except (LoadError, ConfigError):
         pass
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\x0c"], ids=["NEL", "LS", "FF"])
+def test_lines_end_at_line_feed_only(tmp_path, sep):
+    path = tmp_path / "g.tsv"
+    record = "1\tSt%sIves\t\tGB\t50.2\t-5.5\t5\r\n" % sep
+    path.write_bytes(record.encode("utf-8"))
+    assert load_gazetteer(path).records[1].canonical_name == "St%sIves" % sep
+    path.write_bytes((record + "2\tOops\t\tGB\t0\t0\t9\n").encode("utf-8"))
+    with pytest.raises(LoadError, match=r"g\.tsv:2: size_class 9"):
+        load_gazetteer(path)
+    path.write_bytes(record.encode("utf-8") + b"\xff\n")
+    with pytest.raises(LoadError, match=r"g\.tsv:2: not UTF-8"):
+        load_gazetteer(path)
+    path.write_bytes(("a%sb\r\n\r\r\n\nc" % sep).encode("utf-8"))
+    assert read_lines(path, "test file") == ["a%sb" % sep, "\r", "", "c"]
