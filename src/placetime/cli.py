@@ -269,7 +269,7 @@ def cmd_places(args):
 
 
 def _place_dot(record):
-    """A one-mention dot from a place's first ``geo`` record, checked for drawing."""
+    """A one-mention dot from a place's ``geo`` record, checked for drawing."""
     pid, lat, lon, country = record["place_id"], record["lat"], record["lon"], record["country"]
     if not isinstance(pid, int) or not isinstance(country, str):
         raise ValueError("bad place_id %r or country %r" % (pid, country))
@@ -286,7 +286,7 @@ def cmd_map(args):
     outline = mapviz.load_outline(args.outline)
     hits = Counter()
     hits_sum = 0.0  # kept small enough that every percentage of it is finite
-    dots = {}
+    dots = {}  # place_id -> the dot of its first record
     places = []
     records = 0
     for path in args.annotations:
@@ -310,10 +310,14 @@ def cmd_map(args):
                             raise ValueError("tallies hits sum %g is too large" % hits_sum)
                         hits[country] += n
                 elif record.get("type") == "geo" and "place_id" in record:
+                    # A later record of a place is drawn as the first, once it passes the
+                    # same checks; one equal to the first needs no check of its own.
                     pid = record["place_id"]
-                    if pid not in dots:
-                        dots[pid] = _place_dot(record)
-                    places.append(dots[pid])
+                    dot = dots.get(pid)
+                    if (dot is None or dot.latitude != record["lat"]
+                            or dot.longitude != record["lon"] or dot.country != record["country"]):
+                        dot = dots.setdefault(pid, _place_dot(record))
+                    places.append(dot)
             except json.JSONDecodeError as exc:
                 raise ConfigError("%s:%d: not JSON: %s" % (path, lineno, exc)) from exc
             except KeyError as exc:

@@ -75,6 +75,12 @@ class PlaceRecord:
         return (self.canonical_name,) + self.variants
 
 
+def _check_country(country: str) -> None:
+    """Raise ValueError unless ``country`` is a two-letter upper-case code."""
+    if len(country) != 2 or not country.isalpha() or not country.isupper():
+        raise ValueError("bad country code %r" % (country,))
+
+
 @dataclass(frozen=True)
 class CountryTrigger:
     surface: str
@@ -86,6 +92,7 @@ class CountryTrigger:
             raise ValueError("unindexable trigger surface %r" % (self.surface,))
         if self.kind not in TRIGGER_KINDS:
             raise ValueError("unknown trigger kind %r" % (self.kind,))
+        _check_country(self.country)
 
 
 @dataclass(frozen=True)
@@ -102,18 +109,28 @@ class SpanMatch:
 
 
 class GazetteerIndex:
-    """All place records plus a first-token index over every surface form."""
+    """All place records plus a first-token index over every surface form.
 
-    def __init__(self, records):
+    When ``where`` is given, a LoadError about the i-th record begins with
+    ``where(i)``, such as the ``path:line`` it was read from.
+    """
+
+    def __init__(self, records, where=None):
+        records = list(records)
+
+        def located(i, message):
+            return message if where is None else "%s: %s" % (where(i), message)
+
         self.records = {}
-        for rec in records:
+        for i, rec in enumerate(records):
             if rec.id in self.records:
-                raise LoadError("duplicate place id %d" % rec.id)
+                raise LoadError(located(i, "duplicate place id %d" % rec.id))
             self.records[rec.id] = rec
         self._first = _first_token_index(
-            ((surface, rec.id) for rec in records for surface in rec.surfaces()),
-            lambda surface, rid: "unindexable surface %r for id %d" % (surface, rid),
-            lambda ids: tuple(sorted(set(ids))))
+            ((surface, i) for i, rec in enumerate(records) for surface in rec.surfaces()),
+            lambda surface, i: located(
+                i, "unindexable surface %r for id %d" % (surface, records[i].id)),
+            lambda positions: tuple(sorted({records[i].id for i in positions})))
 
     def match_at(self, tokens, position):
         """Longest name/variant whose tokens start at ``position``, or None."""
@@ -200,44 +217,43 @@ def name_table(index: GazetteerIndex, triggers: TriggerIndex | None = None):
     return table
 
 
+def _place_record(fields) -> PlaceRecord:
+    """One gazetteer line's fields as a record; ValueError names the first broken rule."""
+    rid, canonical, variants, country, lat, lon, size_class = fields
+    rid, lat, lon, size_class = int(rid), float(lat), float(lon), int(size_class)
+    if not canonical:
+        raise ValueError("empty canonical name")
+    variant_list = tuple(variants.split("|")) if variants else ()
+    if any(not v for v in variant_list):
+        raise ValueError("empty variant")
+    if not (1 <= size_class <= 6):
+        raise ValueError("size_class %d outside 1..6" % size_class)
+    if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
+        raise ValueError("coordinates out of range")
+    _check_country(country)
+    return PlaceRecord(rid, canonical, variant_list, country, lat, lon, size_class)
+
+
 def load_gazetteer(path, max_size_class=None, keep_countries=()) -> GazetteerIndex:
     """Load the TSV gazetteer.
 
     When ``max_size_class`` is given, records of a larger (less important)
     size class are dropped unless their country is in ``keep_countries``.
+    An error about a record names its file and line.
     """
-    records = []
+    records, lines = [], []
     keep = frozenset(keep_countries)
     for lineno, fields in tsv_records(path, "gazetteer", 7):
-        rid, canonical, variants, country, lat, lon, size_class = fields
         try:
-            rid = int(rid)
-            lat = float(lat)
-            lon = float(lon)
-            size_class = int(size_class)
+            rec = _place_record(fields)
         except ValueError as exc:
             raise LoadError("%s:%d: %s" % (path, lineno, exc)) from exc
-        if not canonical:
-            raise LoadError("%s:%d: empty canonical name" % (path, lineno))
-        if variants:
-            variant_list = tuple(variants.split("|"))
-            if any(not v for v in variant_list):
-                raise LoadError("%s:%d: empty variant" % (path, lineno))
-        else:
-            variant_list = ()
-        if not (1 <= size_class <= 6):
-            raise LoadError("%s:%d: size_class %d outside 1..6" % (path, lineno, size_class))
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            raise LoadError("%s:%d: coordinates out of range" % (path, lineno))
-        if len(country) != 2 or not country.isalpha() or not country.isupper():
-            raise LoadError("%s:%d: bad country code %r" % (path, lineno, country))
-        if max_size_class is not None and size_class > max_size_class and country not in keep:
+        if (max_size_class is not None and rec.size_class > max_size_class
+                and rec.country not in keep):
             continue
-        records.append(PlaceRecord(rid, canonical, variant_list, country, lat, lon, size_class))
-    try:
-        return GazetteerIndex(records)
-    except LoadError as exc:
-        raise LoadError("%s: %s" % (path, exc)) from exc
+        records.append(rec)
+        lines.append(lineno)
+    return GazetteerIndex(records, lambda i: "%s:%d" % (path, lines[i]))
 
 
 def load_stop_words(path, language: str) -> GeoStopList:

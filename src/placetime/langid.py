@@ -12,6 +12,8 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .errors import ConfigError, DecodeError, LoadError, ScoringError, TrainingError
@@ -30,6 +32,7 @@ ENCODING_REGISTRY = {
 _ALPHABET = 256
 _UNSEEN_BIGRAM = math.log(1 / _ALPHABET)
 _BYTE = {str(i): i for i in range(_ALPHABET)}
+_PREFIX = itemgetter(slice(2))
 
 
 @dataclass(frozen=True, order=True)
@@ -78,14 +81,34 @@ def train_profile(corpus: bytes, label: LangEncLabel) -> LangEncProfile:
     """Count overlapping byte bigrams and trigrams of ``corpus``."""
     if len(corpus) < 3:
         raise TrainingError("training corpus must hold at least 3 bytes, got %d" % len(corpus))
-    bigrams = Counter(zip(corpus, corpus[1:]))
     trigrams = Counter(zip(corpus, corpus[1:], corpus[2:]))
+    # Every bigram but the last starts a trigram.
+    bigrams = {}
+    for (b1, b2, _), n in trigrams.items():
+        bigrams[b1, b2] = bigrams.get((b1, b2), 0) + n
+    last = (corpus[-2], corpus[-1])
+    bigrams[last] = bigrams.get(last, 0) + 1
     return LangEncProfile(
         label=label,
-        bigram_counts=dict(bigrams),
+        bigram_counts=bigrams,
         trigram_counts=dict(trigrams),
         total_bytes=len(corpus),
     )
+
+
+def _trigrams(text: bytes):
+    """``text``'s distinct trigrams, their 2-byte prefixes, their counts and the trigram total."""
+    if len(text) < 3:
+        raise ScoringError("text must hold at least 3 bytes, got %d" % len(text))
+    counts = Counter(zip(text, text[1:], text[2:]))
+    keys = list(counts)
+    return keys, list(map(_PREFIX, keys)), list(counts.values()), len(text) - 2
+
+
+def _score(profile: LangEncProfile, keys, prefixes, counts, n) -> float:
+    tri_logs, bi_logs = profile._log_tables
+    return sum(map(mul, counts, map(tri_logs.get, keys,
+                                    map(bi_logs.get, prefixes, repeat(_UNSEEN_BIGRAM))))) / n
 
 
 def score_text(profile: LangEncProfile, text: bytes) -> float:
@@ -93,30 +116,24 @@ def score_text(profile: LangEncProfile, text: bytes) -> float:
 
     Each distinct trigram (b1, b2, b3) of ``text`` adds its count times
     ln((trigram_count + 1) / (bigram_count + 256)), read from tables the
-    profile builds on first use (per trigram, and per bigram for an unseen
-    trigram); the sum is divided by the number of trigrams.  Always finite and <= 0.
+    profile builds on first use (per trained trigram, else per bigram, else
+    ln(1/256)); the sum is divided by the number of trigrams.  Always finite and <= 0.
     """
-    if len(text) < 3:
-        raise ScoringError("text must hold at least 3 bytes, got %d" % len(text))
-    tri_logs, bi_logs = profile._log_tables
-    total = 0.0
-    for key, n in Counter(zip(text, text[1:], text[2:])).items():
-        logp = tri_logs.get(key)
-        if logp is None:
-            logp = bi_logs.get(key[:2], _UNSEEN_BIGRAM)
-        total += n * logp
-    return total / (len(text) - 2)
+    return _score(profile, *_trigrams(text))
 
 
 def identify(profiles, text: bytes):
     """Rank all profiles against ``text``; best match first.
 
-    Ties on score break by lexicographic label order.
+    The text's trigrams are counted once and every profile is scored from
+    that count, as :func:`score_text` would score it.  Ties on score break
+    by lexicographic label order.
     """
     profiles = list(profiles)
     if not profiles:
         raise ConfigError("identify needs at least one profile")
-    scored = [ScoredLabel(p.label, score_text(p, text)) for p in profiles]
+    trigrams = _trigrams(text)
+    scored = [ScoredLabel(p.label, _score(p, *trigrams)) for p in profiles]
     scored.sort(key=lambda s: (-s.score, s.label))
     return scored
 
@@ -165,6 +182,8 @@ def load_profile(path) -> LangEncProfile:
             raise ValueError("missing or malformed #langenc header")
         label = LangEncLabel(header[1], header[2])
         total = int(header[3])
+        if total < 0:
+            raise ValueError("negative total_bytes %d" % total)
     except ValueError as exc:
         raise LoadError("%s:1: %s" % (path, exc)) from exc
     bigrams, trigrams = {}, {}

@@ -248,6 +248,14 @@ class TestPlaces:
         assert {t["country"]: t["hits"] for t in tally["tallies"]} == {
             "FR": 2, "DE": 1, "GB": 1}
 
+    def test_bad_trigger_country_exit_2(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "doc.txt").write_text("x marks the spot")
+        (tmp_path / "t.tsv").write_text("x\tfrance\tcurrency\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "places", "doc.txt", "--gazetteer", GAZ,
+                             "--triggers", "t.tsv")
+        assert (code, out, err) == (2, "", "placetime: t.tsv:1: bad country code 'france'\n")
+
     def test_lowercase_text_no_matches(self, capsys, tmp_path):
         doc = tmp_path / "doc.txt"
         doc.write_text("a trip through paris and london and roma")
@@ -420,6 +428,12 @@ class TestMap:
                      "bad tallies hits nan", id="tally-hits-nan"),
         pytest.param('{"type": "tallies", "tallies": [{"country": "FR", "hits": -3}]}',
                      "bad tallies hits -3", id="tally-hits-negative"),
+        pytest.param('{"type": "geo", "place_id": 9, "lat": 200, "lon": 2.35, "country": "FR"}',
+                     "coordinates (200, 2.35) out of range", id="later-record-lat-200"),
+        pytest.param('{"type": "geo", "place_id": 9, "lon": 2.35, "country": "FR"}',
+                     "missing field 'lat'", id="later-record-no-lat"),
+        pytest.param('{"type": "geo", "place_id": 9, "lat": 48.85, "lon": 2.35, "country": 5}',
+                     "bad place_id 9 or country 5", id="later-record-country-not-string"),
     ])
     def test_malformed_annotation_exit_2(self, capsys, tmp_path, line, message):
         ann = tmp_path / "ann.jsonl"
@@ -430,6 +444,18 @@ class TestMap:
         assert err.startswith("placetime: %s:2: %s" % (ann, message))
         assert len(err.splitlines()) == 1
         assert not svg_path.exists()
+
+    def test_later_records_draw_as_first(self, capsys, tmp_path):
+        moved = json.loads(self.GOOD)
+        moved.update(lat=10.0, lon=10.0)
+        svgs = []
+        for lines in ([self.GOOD] * 3, [self.GOOD, json.dumps(moved), self.GOOD]):
+            ann = tmp_path / "ann.jsonl"
+            ann.write_text("".join(line + "\n" for line in lines))
+            svg_path = tmp_path / "map.svg"
+            assert run(capsys, "map", str(ann), "--out", str(svg_path)) == (0, "", "")
+            svgs.append(svg_path.read_text())
+        assert svgs[0] == svgs[1]
 
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     def test_zero_canvas_exit_2(self, capsys, tmp_path, flag):

@@ -71,6 +71,19 @@ class TestLoad:
         with pytest.raises(LoadError):
             load_gazetteer(path)
 
+    def test_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("1\tA\t\tFR\t0\t0\t1\n# comment\n2\tB\t\tDE\t0\t0\t1\n"
+                        "1\tC\t\tDE\t0\t0\t1\n")
+        with pytest.raises(LoadError, match=r"g\.tsv:4: duplicate place id 1$"):
+            load_gazetteer(path)
+
+    def test_unindexable_surface_names_line_after_dropped_record(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("1\tAnywhere\t\tFR\t0\t0\t6\n2\tParis\t--\tFR\t48.85\t2.35\t1\n")
+        with pytest.raises(LoadError, match=r"g\.tsv:2: unindexable surface '--' for id 2$"):
+            load_gazetteer(path, max_size_class=2)
+
     def test_malformed_row_cites_line(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("# header\n1\tonly\ttwo\n")
@@ -88,7 +101,7 @@ class TestLoad:
     def test_unindexable_surface(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("1\tParis\t--\tFR\t48.85\t2.35\t1\n")
-        with pytest.raises(LoadError, match=r"g\.tsv: unindexable surface '--' for id 1"):
+        with pytest.raises(LoadError, match=r"g\.tsv:1: unindexable surface '--' for id 1"):
             load_gazetteer(path)
 
     def test_load_determinism(self, data_dir):
@@ -191,6 +204,13 @@ class TestTriggers:
         path = tmp_path / "t.tsv"
         path.write_text("...\tFR\tcurrency\n")
         with pytest.raises(LoadError, match=r"t\.tsv:1: unindexable trigger surface '\.\.\.'"):
+            gazetteer.load_triggers(path)
+
+    @pytest.mark.parametrize("country", ["france", "fr", "F", "F1", ""])
+    def test_bad_country(self, tmp_path, country):
+        path = tmp_path / "t.tsv"
+        path.write_text("# triggers\nx\t%s\tcurrency\n" % country)
+        with pytest.raises(LoadError, match=r"t\.tsv:2: bad country code %r$" % country):
             gazetteer.load_triggers(path)
 
     def test_bad_kind(self, tmp_path):

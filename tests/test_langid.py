@@ -11,6 +11,7 @@ from placetime.errors import ConfigError, DecodeError, ScoringError, TrainingErr
 from placetime.langid import ENCODING_REGISTRY, LangEncLabel
 
 import corpusgen
+import langid_oracle
 
 EN = LangEncLabel("en", "ISO-8859-1")
 HU = LangEncLabel("hu", "ISO-8859-2")
@@ -207,6 +208,12 @@ class TestProfileFiles:
         with pytest.raises(langid.LoadError, match=r"bad\.prof:4: malformed record "):
             langid.load_profile(path)
 
+    def test_negative_total_bytes(self, tmp_path):
+        path = tmp_path / "bad.prof"
+        path.write_text("#langenc en UTF-8 -5\nB 1 2 3\n")
+        with pytest.raises(langid.LoadError, match=r"bad\.prof:1: negative total_bytes -5"):
+            langid.load_profile(path)
+
     def test_non_utf8_header(self, tmp_path):
         path = tmp_path / "bad.prof"
         path.write_bytes(b"#langenc en UTF-8 9\xe9\nB 1 2 3\n")
@@ -329,3 +336,53 @@ class TestScoreAgainstReference:
             assert main(argv) == 0
         capsys.readouterr()
         assert module_state() == before
+
+
+# --------------------------------------------------------------------------
+# one trigram count per document, and one counting pass per corpus, against
+# the per-profile loop and two-pass trainer they replaced
+
+_ANY_BYTES = st.one_of(st.binary(min_size=3, max_size=2048), _TEXTS)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_ANY_BYTES)
+    def test_train_profile_counts(self, corpus):
+        got = langid.train_profile(corpus, EN)
+        want = langid_oracle.train_profile(corpus, EN)
+        assert got.bigram_counts == want.bigram_counts
+        assert got.trigram_counts == want.trigram_counts
+        assert got.total_bytes == want.total_bytes
+
+    def test_saved_profile_bytes(self, tmp_path):
+        corpus = corpusgen.generate_bytes(HU, 20_000, seed=2)
+        langid.save_profile(langid.train_profile(corpus, HU), tmp_path / "got.prof")
+        langid.save_profile(langid_oracle.train_profile(corpus, HU), tmp_path / "want.prof")
+        assert (tmp_path / "got.prof").read_bytes() == (tmp_path / "want.prof").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_identify_and_score_text(self, data):
+        labels = corpusgen.labels()
+        profiles = [langid.train_profile(data.draw(_ANY_BYTES), label)
+                    for label in labels[:data.draw(st.integers(1, len(labels)))]]
+        text = data.draw(_ANY_BYTES)
+        want = langid_oracle.identify(profiles, text)
+        got = langid.identify(profiles, text)
+        assert [s.label for s in got] == [s.label for s in want]
+        for g, w in zip(got, want):
+            assert g.score == pytest.approx(w.score, rel=0, abs=1e-12)
+        for p in profiles:
+            assert langid.score_text(p, text) == pytest.approx(
+                langid_oracle.score_text(p, text), rel=0, abs=1e-12)
+
+    def test_corpus_documents(self, corpus_dir):
+        profiles = [langid.train_profile(corpusgen.generate_bytes(label, 20_000, seed=1), label)
+                    for label in corpusgen.labels()]
+        texts = [path.read_bytes() for path in sorted(corpus_dir.glob("*.txt"))]
+        assert texts
+        for text in texts:
+            want = langid_oracle.identify(profiles, text)
+            got = langid.identify(profiles, text)
+            assert [(s.label, s.score) for s in got] == [(s.label, s.score) for s in want]

@@ -74,6 +74,19 @@ def test_loader_raises_only_load_or_config_error(tmp_path_factory, shipped, name
         pass
 
 
+@pytest.mark.parametrize("name", ["gazetteer", "triggers", "profile"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loader_error_names_line(tmp_path_factory, shipped, name, data):
+    path = tmp_path_factory.getbasetemp() / ("lines-" + name)
+    path.write_bytes(data.draw(_mutated(shipped[name])))
+    try:
+        LOADERS[name][0](path)
+    except LoadError as exc:
+        assert str(exc).startswith("%s:" % path)
+        assert str(exc)[len(str(path)) + 1:].split(":")[0].isdigit(), str(exc)
+
+
 @pytest.mark.parametrize("sep", ["\x85", "\u2028", "\x0c"], ids=["NEL", "LS", "FF"])
 def test_lines_end_at_line_feed_only(tmp_path, sep):
     path = tmp_path / "g.tsv"
