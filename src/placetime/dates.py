@@ -28,22 +28,33 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import ConfigError, ContractError, LoadError, read_lines
+from .errors import ConfigError, ContractError, LoadError, PlacetimeError, read_lines
 
 ORDER_DMY = "dmy"
 ORDER_MDY = "mdy"
 
 # Permissive month lengths (leap year) used when the year is unknown.
 _MONTH_DAYS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_FIELDS = ("year", "month", "day", "rel_offset")
 
 
 class DateKind(Enum):
-    FULL = "full"
-    YEAR_MONTH = "year_month"
-    MONTH_DAY = "month_day"
-    RELATIVE_DAY = "relative_day"
-    RELATIVE_MONTH = "relative_month"
-    MONTH_RELATIVE_YEAR = "month_relative_year"
+    """A kind of date: its name, the fields it carries and its normal form."""
+
+    FULL = "full", ("year", "month", "day"), "%04d-%02d-%02d"
+    YEAR_MONTH = "year_month", ("year", "month"), "%04d-%02d"
+    MONTH_DAY = "month_day", ("month", "day"), "--%02d-%02d"
+    RELATIVE_DAY = "relative_day", ("rel_offset",), "D%+d"
+    RELATIVE_MONTH = "relative_month", ("month", "rel_offset"), "M%02d%+d"
+    MONTH_RELATIVE_YEAR = "month_relative_year", ("month", "rel_offset"), "M%02dY%+d"
+
+    def __new__(cls, value, fields, form):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.fields = fields
+        kind.form = form
+        kind.values_of = operator.attrgetter(*fields)
+        return kind
 
 
 @dataclass(frozen=True)
@@ -55,19 +66,12 @@ class NormalizedDate:
     rel_offset: int | None = None
 
     def __post_init__(self):
-        k = self.kind
-        if k is DateKind.FULL:
-            self._need(year=True, month=True, day=True)
-        elif k is DateKind.YEAR_MONTH:
-            self._need(year=True, month=True)
-        elif k is DateKind.MONTH_DAY:
-            self._need(month=True, day=True)
-        elif k is DateKind.RELATIVE_DAY:
-            self._need(rel=True)
-        elif k is DateKind.RELATIVE_MONTH:
-            self._need(month=True, rel=True)
-        elif k is DateKind.MONTH_RELATIVE_YEAR:
-            self._need(month=True, rel=True)
+        for name in _FIELDS:
+            have = getattr(self, name) is not None
+            if have != (name in self.kind.fields):
+                raise ValueError("%s: field %s %s for kind %s"
+                                 % (self.kind.value, name,
+                                    "unexpected" if have else "required", self.kind))
         if self.month is not None and not 1 <= self.month <= 12:
             raise ValueError("month %r outside 1..12" % (self.month,))
         if self.day is not None:
@@ -81,28 +85,8 @@ class NormalizedDate:
                 raise ValueError("day %r invalid for month %r year %r"
                                  % (self.day, self.month, self.year))
 
-    def _need(self, year=False, month=False, day=False, rel=False):
-        for name, want in (("year", year), ("month", month),
-                           ("day", day), ("rel_offset", rel)):
-            have = getattr(self, name) is not None
-            if have != want:
-                raise ValueError("%s: field %s %s for kind %s"
-                                 % (self.kind.value, name,
-                                    "unexpected" if have else "required", self.kind))
-
     def to_string(self) -> str:
-        k = self.kind
-        if k is DateKind.FULL:
-            return "%04d-%02d-%02d" % (self.year, self.month, self.day)
-        if k is DateKind.YEAR_MONTH:
-            return "%04d-%02d" % (self.year, self.month)
-        if k is DateKind.MONTH_DAY:
-            return "--%02d-%02d" % (self.month, self.day)
-        if k is DateKind.RELATIVE_DAY:
-            return "D%+d" % self.rel_offset
-        if k is DateKind.RELATIVE_MONTH:
-            return "M%02d%+d" % (self.month, self.rel_offset)
-        return "M%02dY%+d" % (self.month, self.rel_offset)
+        return self.kind.form % self.kind.values_of(self)
 
 
 @dataclass(frozen=True)
@@ -199,6 +183,10 @@ def load_date_lexicon(path) -> DateLexicon:
     def int_map(name):
         out = {}
         for lineno, key, value in keyvals(name):
+            if not key:
+                raise LoadError("%s:%d: empty surface in [%s]" % (path, lineno, name))
+            if name == "number_words" and _RE_WORD_SEP.search(key):
+                raise LoadError("%s:%d: number word %r holds a space or '-'" % (path, lineno, key))
             if key in out:
                 raise LoadError("%s:%d: duplicate surface %r in [%s]" % (path, lineno, key, name))
             try:
@@ -331,6 +319,7 @@ def _alt(surfaces):
 
 
 _RE_TOKEN = re.compile(r"[^\s,-]+")
+_RE_WORD_SEP = re.compile(r"[\s-]+")     # between spelled number words
 
 
 def _max_tokens(surfaces):
@@ -482,7 +471,7 @@ def _scan_month(text, rev, m, sc: _Scanner):
     month = sc.month_of[m.group(1)]
     start, end = m.start(1), m.end(1)
     anchor = start
-    day = year = rel_year = None
+    day = year = rel_offset = None
     spelled_thousand = False
 
     lm = sc.search_left(sc.re_day_left, text, rev, anchor)
@@ -509,9 +498,9 @@ def _scan_month(text, rev, m, sc: _Scanner):
     if sc.re_relyear is not None and day is None and year is None:
         rm = sc.re_relyear.match(text, pos)
         if rm is not None:
-            rel_year = sc.lexicon.relative_years[rm.group(1)]
+            rel_offset = sc.lexicon.relative_years[rm.group(1)]
             end = rm.end(1)
-    if rel_year is None:
+    if rel_offset is None:
         for _ in range(2):
             matched = False
             if year is None:
@@ -523,7 +512,7 @@ def _scan_month(text, rev, m, sc: _Scanner):
                 elif sc.re_numseq is not None:
                     rm = sc.re_numseq.match(text, pos)
                     if rm is not None:
-                        words = re.split(r"[\s-]+", rm.group(1))
+                        words = _RE_WORD_SEP.split(rm.group(1))
                         value, used_thousand = sc.compose_spelled_year(words)
                         if value is not None:
                             year = value
@@ -546,36 +535,46 @@ def _scan_month(text, rev, m, sc: _Scanner):
         year = None
         end = m.end(1)
 
-    if rel_year is not None:
+    # A relative year is only looked for when neither a day nor a year was
+    # found, so each kind below leaves the fields it does not carry None.
+    if rel_offset is not None:
         kind = DateKind.MONTH_RELATIVE_YEAR
-        return LexicalCandidate(offset=start, length=end - start,
-                                surface=text[start:end], kind=kind,
-                                month=month, rel_offset=rel_year)
-    if day is not None and year is not None:
-        return LexicalCandidate(offset=start, length=end - start,
-                                surface=text[start:end], kind=DateKind.FULL,
-                                year=year, month=month, day=day)
-    if year is not None:
-        return LexicalCandidate(offset=start, length=end - start,
-                                surface=text[start:end], kind=DateKind.YEAR_MONTH,
-                                year=year, month=month)
-    if day is not None:
-        return LexicalCandidate(offset=start, length=end - start,
-                                surface=text[start:end], kind=DateKind.MONTH_DAY,
-                                month=month, day=day)
-    if sc.re_premod is not None:
-        pm = sc.search_left(sc.re_premod, text, rev, anchor)
-        if pm is not None:
-            start = pm.start(1)
-            return LexicalCandidate(offset=start, length=end - start,
-                                    surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
-                                    month=month,
-                                    rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
-    return None
+    elif day is not None:
+        kind = DateKind.FULL if year is not None else DateKind.MONTH_DAY
+    elif year is not None:
+        kind = DateKind.YEAR_MONTH
+    else:
+        pm = sc.re_premod and sc.search_left(sc.re_premod, text, rev, anchor)
+        if pm is None:
+            return None
+        start, kind = pm.start(1), DateKind.RELATIVE_MONTH
+        rel_offset = sc.lexicon.pre_modifiers[pm.group(1)]
+    return LexicalCandidate(start, end - start, text[start:end], kind,
+                            year, month, day, rel_offset)
 
 
 # --------------------------------------------------------------------------
 # normalization and resolution
+
+def _numeric_reading(c, document_order, reject_two_digit_years):
+    """The (kind, year, month, day, rel_offset) fields of a numeric candidate.
+
+    Raises ValueError, naming the reason, when the candidate has no reading.
+    """
+    if c.ymd:
+        return DateKind.FULL, int(c.f1), int(c.f2), int(c.f3), None
+    if reject_two_digit_years and len(c.f3) == 2 and len(c.f1) == 1 and len(c.f2) == 1:
+        raise ValueError("two-digit year with unpadded day and month")
+    if not (c.dmy_possible or c.mdy_possible):
+        raise ValueError("no valid day/month reading")
+    day, month = int(c.f1), int(c.f2)
+    if c.mdy_possible and (not c.dmy_possible or document_order == ORDER_MDY):
+        day, month = month, day
+    return DateKind.FULL, _expand_year(c.f3), month, day, None
+
+
+_lexical_reading = operator.attrgetter("kind", "year", "month", "day", "rel_offset")
+
 
 def normalize_match(candidate, document_order: str, reject_two_digit_years: bool = False,
                     diagnostics=None):
@@ -583,42 +582,14 @@ def normalize_match(candidate, document_order: str, reject_two_digit_years: bool
 
     Discards land on the diagnostics list as (offset, surface, reason).
     """
-    def discard(reason):
-        if diagnostics is not None:
-            diagnostics.append((candidate.offset, candidate.surface, reason))
-        return None
-
-    if isinstance(candidate, NumericCandidate):
-        if candidate.ymd:
-            year, month, day = int(candidate.f1), int(candidate.f2), int(candidate.f3)
-        else:
-            if (reject_two_digit_years and len(candidate.f3) == 2
-                    and len(candidate.f1) == 1 and len(candidate.f2) == 1):
-                return discard("two-digit year with unpadded day and month")
-            year = _expand_year(candidate.f3)
-            if candidate.dmy_possible and not candidate.mdy_possible:
-                day, month = int(candidate.f1), int(candidate.f2)
-            elif candidate.mdy_possible and not candidate.dmy_possible:
-                month, day = int(candidate.f1), int(candidate.f2)
-            elif candidate.dmy_possible and candidate.mdy_possible:
-                if document_order == ORDER_MDY:
-                    month, day = int(candidate.f1), int(candidate.f2)
-                else:
-                    day, month = int(candidate.f1), int(candidate.f2)
-            else:
-                return discard("no valid day/month reading")
-        try:
-            normal = NormalizedDate(DateKind.FULL, year=year, month=month, day=day)
-        except ValueError as exc:
-            return discard(str(exc))
-        return DateMatch(candidate.offset, candidate.length, candidate.surface, normal)
-
     try:
-        normal = NormalizedDate(candidate.kind, year=candidate.year,
-                                month=candidate.month, day=candidate.day,
-                                rel_offset=candidate.rel_offset)
+        normal = NormalizedDate(*(
+            _numeric_reading(candidate, document_order, reject_two_digit_years)
+            if isinstance(candidate, NumericCandidate) else _lexical_reading(candidate)))
     except ValueError as exc:
-        return discard(str(exc))
+        if diagnostics is not None:
+            diagnostics.append((candidate.offset, candidate.surface, str(exc)))
+        return None
     return DateMatch(candidate.offset, candidate.length, candidate.surface, normal)
 
 
@@ -626,7 +597,11 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
     """Resolve a relative normal form against a reference date."""
     k = normal.kind
     if k is DateKind.RELATIVE_DAY:
-        resolved = reference + datetime.timedelta(days=normal.rel_offset)
+        try:
+            resolved = reference + datetime.timedelta(days=normal.rel_offset)
+        except OverflowError as exc:
+            raise PlacetimeError("%s is out of range from reference %s"
+                                 % (normal.to_string(), reference)) from exc
         return NormalizedDate(DateKind.FULL, year=resolved.year,
                               month=resolved.month, day=resolved.day)
     if k is DateKind.RELATIVE_MONTH:
@@ -658,15 +633,9 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     if default not in (ORDER_DMY, ORDER_MDY):
         raise ConfigError("default order must be dmy or mdy, got %r" % default_order)
     order = infer_document_order(numeric, default)
-    matches = []
-    for cand in numeric:
-        m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
-        if m is not None:
-            matches.append(m)
-    for cand in find_lexical_dates(text, lexicon):
-        m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
-        if m is not None:
-            matches.append(m)
+    matches = [m for cand in numeric + find_lexical_dates(text, lexicon)
+               if (m := normalize_match(cand, order, reject_two_digit_years, diagnostics))
+               is not None]
 
     # Overlaps keep the longest match, then the leftmost.  Kept matches stay
     # sorted by offset and disjoint, so their ends are sorted too and only the
@@ -680,9 +649,10 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
         kept.insert(i, m)
 
     if reference is not None:
-        kept = [replace(m, resolved=resolve_relative(m.normal, reference))
-                if m.normal.kind in (DateKind.RELATIVE_DAY, DateKind.RELATIVE_MONTH,
-                                     DateKind.MONTH_RELATIVE_YEAR)
-                else m
-                for m in kept]
+        for i, m in enumerate(kept):
+            if m.normal.rel_offset is not None:
+                try:
+                    kept[i] = replace(m, resolved=resolve_relative(m.normal, reference))
+                except PlacetimeError as exc:
+                    raise PlacetimeError("%r: %s" % (m.surface, exc)) from exc
     return kept

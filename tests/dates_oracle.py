@@ -1,0 +1,275 @@
+"""The date normal forms, month scan and normalizer that the per-kind table in
+``dates.DateKind`` replaced, kept as the reference the tests compare them against.
+
+Here each kind's required fields and its normal form are spelled out in two
+``if`` ladders, ``_scan_month`` builds its candidate separately for each kind,
+and ``normalize_match`` has one path for numeric candidates and one for lexical
+ones.  Overlaps are resolved by a pairwise scan.
+"""
+
+import calendar
+import datetime
+import re
+from dataclasses import dataclass
+
+from placetime.dates import (_MONTH_DAYS, ORDER_MDY, DateKind, LexicalCandidate,
+                             NumericCandidate, _expand_year, find_numeric_dates,
+                             infer_document_order)
+
+
+@dataclass(frozen=True)
+class NormalizedDate:
+    kind: DateKind
+    year: int | None = None
+    month: int | None = None
+    day: int | None = None
+    rel_offset: int | None = None
+
+    def __post_init__(self):
+        k = self.kind
+        if k is DateKind.FULL:
+            self._need(year=True, month=True, day=True)
+        elif k is DateKind.YEAR_MONTH:
+            self._need(year=True, month=True)
+        elif k is DateKind.MONTH_DAY:
+            self._need(month=True, day=True)
+        elif k is DateKind.RELATIVE_DAY:
+            self._need(rel=True)
+        elif k is DateKind.RELATIVE_MONTH:
+            self._need(month=True, rel=True)
+        elif k is DateKind.MONTH_RELATIVE_YEAR:
+            self._need(month=True, rel=True)
+        if self.month is not None and not 1 <= self.month <= 12:
+            raise ValueError("month %r outside 1..12" % (self.month,))
+        if self.day is not None:
+            if self.year is not None and self.month is not None:
+                limit = calendar.monthrange(self.year, self.month)[1]
+            elif self.month is not None:
+                limit = _MONTH_DAYS[self.month - 1]
+            else:
+                limit = 31
+            if not 1 <= self.day <= limit:
+                raise ValueError("day %r invalid for month %r year %r"
+                                 % (self.day, self.month, self.year))
+
+    def _need(self, year=False, month=False, day=False, rel=False):
+        for name, want in (("year", year), ("month", month),
+                           ("day", day), ("rel_offset", rel)):
+            have = getattr(self, name) is not None
+            if have != want:
+                raise ValueError("%s: field %s %s for kind %s"
+                                 % (self.kind.value, name,
+                                    "unexpected" if have else "required", self.kind))
+
+    def to_string(self):
+        k = self.kind
+        if k is DateKind.FULL:
+            return "%04d-%02d-%02d" % (self.year, self.month, self.day)
+        if k is DateKind.YEAR_MONTH:
+            return "%04d-%02d" % (self.year, self.month)
+        if k is DateKind.MONTH_DAY:
+            return "--%02d-%02d" % (self.month, self.day)
+        if k is DateKind.RELATIVE_DAY:
+            return "D%+d" % self.rel_offset
+        if k is DateKind.RELATIVE_MONTH:
+            return "M%02d%+d" % (self.month, self.rel_offset)
+        return "M%02dY%+d" % (self.month, self.rel_offset)
+
+
+def _scan_month(text, rev, m, sc):
+    month = sc.month_of[m.group(1)]
+    start, end = m.start(1), m.end(1)
+    anchor = start
+    day = year = rel_year = None
+    spelled_thousand = False
+
+    lm = sc.search_left(sc.re_day_left, text, rev, anchor)
+    if lm is not None:
+        parsed = sc.parse_day(lm.group(2))
+        if parsed is not None:
+            day = parsed
+            start = lm.start(1) if lm.group(1) else lm.start(2)
+            ym = sc.search_left(sc.re_year_left, text, rev, start)
+            if ym is not None:
+                year = int(ym.group(1))
+                start = ym.start(1)
+            else:
+                start = lm.start(2)
+    if day is None:
+        ym = sc.search_left(sc.re_year_left, text, rev, anchor)
+        if ym is not None:
+            year = int(ym.group(1))
+            start = ym.start(1)
+
+    pos = end
+    if sc.re_relyear is not None and day is None and year is None:
+        rm = sc.re_relyear.match(text, pos)
+        if rm is not None:
+            rel_year = sc.lexicon.relative_years[rm.group(1)]
+            end = rm.end(1)
+    if rel_year is None:
+        for _ in range(2):
+            matched = False
+            if year is None:
+                rm = sc.re_year_right.match(text, pos)
+                if rm is not None:
+                    year = int(rm.group(1))
+                    pos = end = rm.end(1)
+                    matched = True
+                elif sc.re_numseq is not None:
+                    rm = sc.re_numseq.match(text, pos)
+                    if rm is not None:
+                        words = re.split(r"[\s-]+", rm.group(1))
+                        value, used_thousand = sc.compose_spelled_year(words)
+                        if value is not None:
+                            year = value
+                            spelled_thousand = used_thousand
+                            pos = end = rm.end(1)
+                            matched = True
+            if not matched and day is None:
+                rm = sc.re_day_right.match(text, pos)
+                if rm is not None:
+                    parsed = sc.parse_day(rm.group(1))
+                    if parsed is not None:
+                        day = parsed
+                        pos = end = rm.end(1)
+                        matched = True
+            if not matched:
+                break
+
+    if spelled_thousand and day is None:
+        year = None
+        end = m.end(1)
+
+    if rel_year is not None:
+        return LexicalCandidate(offset=start, length=end - start,
+                                surface=text[start:end], kind=DateKind.MONTH_RELATIVE_YEAR,
+                                month=month, rel_offset=rel_year)
+    if day is not None and year is not None:
+        return LexicalCandidate(offset=start, length=end - start,
+                                surface=text[start:end], kind=DateKind.FULL,
+                                year=year, month=month, day=day)
+    if year is not None:
+        return LexicalCandidate(offset=start, length=end - start,
+                                surface=text[start:end], kind=DateKind.YEAR_MONTH,
+                                year=year, month=month)
+    if day is not None:
+        return LexicalCandidate(offset=start, length=end - start,
+                                surface=text[start:end], kind=DateKind.MONTH_DAY,
+                                month=month, day=day)
+    if sc.re_premod is not None:
+        pm = sc.search_left(sc.re_premod, text, rev, anchor)
+        if pm is not None:
+            start = pm.start(1)
+            return LexicalCandidate(offset=start, length=end - start,
+                                    surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
+                                    month=month,
+                                    rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
+    return None
+
+
+def find_lexical_dates(text, lexicon):
+    sc = lexicon._scanner
+    rev = text[::-1]
+    candidates = [c for m in sc.re_month.finditer(text)
+                  if (c := _scan_month(text, rev, m, sc)) is not None]
+    if sc.re_relday is not None:
+        for m in sc.re_relday.finditer(text):
+            candidates.append(LexicalCandidate(
+                offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
+                kind=DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[m.group(1)]))
+    candidates.sort(key=lambda c: c.offset)
+    return candidates
+
+
+@dataclass(frozen=True)
+class DateMatch:
+    offset: int
+    length: int
+    surface: str
+    normal: NormalizedDate
+    resolved: NormalizedDate | None = None
+
+
+def normalize_match(candidate, document_order, reject_two_digit_years=False, diagnostics=None):
+    def discard(reason):
+        if diagnostics is not None:
+            diagnostics.append((candidate.offset, candidate.surface, reason))
+        return None
+
+    if isinstance(candidate, NumericCandidate):
+        if candidate.ymd:
+            year, month, day = int(candidate.f1), int(candidate.f2), int(candidate.f3)
+        else:
+            if (reject_two_digit_years and len(candidate.f3) == 2
+                    and len(candidate.f1) == 1 and len(candidate.f2) == 1):
+                return discard("two-digit year with unpadded day and month")
+            year = _expand_year(candidate.f3)
+            if candidate.dmy_possible and not candidate.mdy_possible:
+                day, month = int(candidate.f1), int(candidate.f2)
+            elif candidate.mdy_possible and not candidate.dmy_possible:
+                month, day = int(candidate.f1), int(candidate.f2)
+            elif candidate.dmy_possible and candidate.mdy_possible:
+                if document_order == ORDER_MDY:
+                    month, day = int(candidate.f1), int(candidate.f2)
+                else:
+                    day, month = int(candidate.f1), int(candidate.f2)
+            else:
+                return discard("no valid day/month reading")
+        try:
+            normal = NormalizedDate(DateKind.FULL, year=year, month=month, day=day)
+        except ValueError as exc:
+            return discard(str(exc))
+        return DateMatch(candidate.offset, candidate.length, candidate.surface, normal)
+
+    try:
+        normal = NormalizedDate(candidate.kind, year=candidate.year,
+                                month=candidate.month, day=candidate.day,
+                                rel_offset=candidate.rel_offset)
+    except ValueError as exc:
+        return discard(str(exc))
+    return DateMatch(candidate.offset, candidate.length, candidate.surface, normal)
+
+
+def resolve_relative(normal, reference):
+    k = normal.kind
+    if k is DateKind.RELATIVE_DAY:
+        resolved = reference + datetime.timedelta(days=normal.rel_offset)
+        return NormalizedDate(DateKind.FULL, year=resolved.year,
+                              month=resolved.month, day=resolved.day)
+    if k is DateKind.RELATIVE_MONTH:
+        sign = normal.rel_offset
+        month = normal.month
+        if sign > 0:
+            year = reference.year + (0 if month > reference.month else 1)
+        elif sign < 0:
+            year = reference.year - (0 if month < reference.month else 1)
+        else:
+            year = reference.year
+        return NormalizedDate(DateKind.YEAR_MONTH, year=year, month=month)
+    if k is DateKind.MONTH_RELATIVE_YEAR:
+        return NormalizedDate(DateKind.YEAR_MONTH,
+                              year=reference.year + normal.rel_offset, month=normal.month)
+    return None
+
+
+def extract_dates(text, lexicon, reference=None, default_order=None,
+                  reject_two_digit_years=False, diagnostics=None):
+    numeric = find_numeric_dates(text)
+    order = infer_document_order(numeric, (default_order or lexicon.default_order).lower())
+    matches = []
+    for cand in numeric + find_lexical_dates(text, lexicon):
+        m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
+        if m is not None:
+            matches.append(m)
+    matches.sort(key=lambda m: (-m.length, m.offset))
+    kept = []
+    for m in matches:
+        if not any(m.offset < k.offset + k.length and m.offset + m.length > k.offset
+                   for k in kept):
+            kept.append(m)
+    kept.sort(key=lambda m: m.offset)
+    if reference is not None:
+        kept = [DateMatch(m.offset, m.length, m.surface, m.normal,
+                          resolve_relative(m.normal, reference)) for m in kept]
+    return kept

@@ -165,6 +165,64 @@ class TestDates:
         assert code == 0 and out == ""
         assert "31/02/2003" in err
 
+    def test_diagnostics_name_every_discard_reason(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "doc.txt").write_text(
+            "a 29/02/2003 b 2003-13-01 c 13/13/2003 d 1.2.15 e 30 February f\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", LEX_EN,
+                             "--diagnostics", "--reject-two-digit-years")
+        assert (code, out) == (0, "")
+        assert err.splitlines() == [
+            "placetime: doc.txt:2: discarded '29/02/2003' (day 29 invalid for month 2 year 2003)",
+            "placetime: doc.txt:15: discarded '2003-13-01' (month 13 outside 1..12)",
+            "placetime: doc.txt:28: discarded '13/13/2003' (no valid day/month reading)",
+            "placetime: doc.txt:41: discarded '1.2.15' "
+            "(two-digit year with unpadded day and month)",
+            "placetime: doc.txt:50: discarded '30 February' (day 30 invalid for month 2 year None)",
+        ]
+
+    @pytest.mark.parametrize("word,reference,offset,lexicon_line", [
+        ("tomorrow", "9999-12-31", "+1", None),
+        ("yesterday", "0001-01-01", "-1", None),
+        ("tomorrow", "2003-03-01", "+1000000000", "tomorrow = 1000000000"),
+    ])
+    def test_unresolvable_relative_day_skips_file(self, capsys, tmp_path, monkeypatch,
+                                                  word, reference, offset, lexicon_line):
+        lexicon = Path(LEX_EN).read_text(encoding="utf-8")
+        if lexicon_line:
+            lexicon = lexicon.replace("\n[relative_days]\n", "\n[relative_days]\n%s\n"
+                                      % lexicon_line).replace("\ntomorrow = +1\n", "\n")
+        (tmp_path / "x.lex").write_text(lexicon, encoding="utf-8")
+        (tmp_path / "bad.txt").write_text("Due %s." % word)
+        (tmp_path / "good.txt").write_text("Signed 21 March 2001.")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "bad.txt", "good.txt", "--lexicon", "x.lex",
+                             "--reference", reference)
+        assert code == 1
+        assert [r["path"] for r in records(out)] == ["good.txt"]
+        assert err == "placetime: bad.txt: %r: D%s is out of range from reference %s\n" % (
+            word, offset, reference)
+
+    @pytest.mark.parametrize("section,line,message", [
+        ("number_words", "nineteen-oh = 1900", "number word 'nineteen-oh' holds a space or '-'"),
+        ("number_words", "nineteen oh = 1900", "number word 'nineteen oh' holds a space or '-'"),
+        ("number_words", "= 1900", "empty surface in [number_words]"),
+        ("relative_days", "= -1", "empty surface in [relative_days]"),
+        ("pre_modifiers", " = +1", "empty surface in [pre_modifiers]"),
+        ("relative_years", "= -1", "empty surface in [relative_years]"),
+    ])
+    def test_unmatchable_lexicon_surface_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                section, line, message):
+        text = Path(LEX_EN).read_text(encoding="utf-8").replace(
+            "\n[%s]\n" % section, "\n[%s]\n%s\n" % (section, line))
+        (tmp_path / "x.lex").write_text(text, encoding="utf-8")
+        (tmp_path / "doc.txt").write_text("May nineteen-oh five, yesterday")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", "x.lex",
+                             "--reference", "2003-03-01")
+        lineno = text.splitlines().index(line) + 1
+        assert (code, out, err) == (2, "", "placetime: x.lex:%d: %s\n" % (lineno, message))
+
     def test_encoding_flag(self, capsys, tmp_path):
         doc = tmp_path / "doc.txt"
         doc.write_bytes("semnat la 11 noiembrie 1918".encode("utf-8"))

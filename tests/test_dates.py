@@ -11,7 +11,9 @@ from placetime.dates import (DateKind, NormalizedDate, extract_dates,
                              find_lexical_dates, find_numeric_dates,
                              infer_document_order, load_date_lexicon,
                              normalize_match, resolve_relative)
-from placetime.errors import ContractError, LoadError
+from placetime.errors import ContractError, LoadError, PlacetimeError
+
+import dates_oracle
 
 
 def normals(text, lexicon, **kw):
@@ -283,6 +285,15 @@ class TestResolveRelative:
         with pytest.raises(ContractError):
             resolve_relative(n, datetime.date(2003, 1, 1))
 
+    @pytest.mark.parametrize("reference,offset", [
+        (datetime.date.max, 1), (datetime.date.min, -1),
+        (datetime.date(2003, 3, 1), 10 ** 9), (datetime.date(2003, 3, 1), -10 ** 30)])
+    def test_relative_day_out_of_range(self, reference, offset):
+        n = NormalizedDate(DateKind.RELATIVE_DAY, rel_offset=offset)
+        with pytest.raises(PlacetimeError) as info:
+            resolve_relative(n, reference)
+        assert str(info.value) == "D%+d is out of range from reference %s" % (offset, reference)
+
 
 class TestExtractPipeline:
     def test_offset_fidelity(self, lexicon_en):
@@ -395,13 +406,13 @@ def test_windowed_left_search_finds_longest_day_context(lexicon_name, request):
 _SEPARATORS = st.sampled_from(["", " ", " ", " ", ", ", "-", "-", "/", "."])
 
 
-def _joined(parts):
-    return st.lists(st.tuples(st.sampled_from(parts), _SEPARATORS), max_size=30).map(
+def _joined(words, max_size=30):
+    return st.lists(st.tuples(words, _SEPARATORS), max_size=max_size).map(
         lambda pairs: "".join(word + sep for word, sep in pairs))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_joined(("2003", "1999", "12", "31", "5", "03")))
+@given(_joined(st.sampled_from(("2003", "1999", "12", "31", "5", "03"))))
 def test_numeric_iso_overlap_equals_pairwise(text):
     iso = [m.span() for m in dates._RE_NUM_YMD.finditer(text)]
     general = [m.span() for m in dates._RE_NUM_GEN.finditer(text)
@@ -411,8 +422,8 @@ def test_numeric_iso_overlap_equals_pairwise(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_joined(("2003", "1999", "12", "31", "5", "2nd", "the", "of", "May", "March",
-                "Jan.", "next", "last year", "today")))
+@given(_joined(st.sampled_from(("2003", "1999", "12", "31", "5", "2nd", "the", "of", "May",
+                                "March", "Jan.", "next", "last year", "today"))))
 def test_overlap_resolution_equals_pairwise(lexicon_en, text):
     numeric = find_numeric_dates(text)
     order = infer_document_order(numeric, lexicon_en.default_order)
@@ -425,3 +436,125 @@ def test_overlap_resolution_equals_pairwise(lexicon_en, text):
                    for k in kept):
             kept.append(m)
     assert extract_dates(text, lexicon_en) == sorted(kept, key=lambda m: m.offset)
+
+
+# --------------------------------------------------------------------------
+# extract_dates against the normalizer it replaced
+
+_FIELD = st.sampled_from(["0", "1", "2", "9", "00", "01", "12", "13", "29", "30", "31", "99"])
+_YEAR = st.sampled_from(["00", "15", "49", "50", "0000", "1999", "2003", "2004"])
+_NUMERIC = st.one_of(
+    st.tuples(_FIELD, st.sampled_from("/.-"), _FIELD, _YEAR).map(
+        lambda t: "%s%s%s%s%s" % (t[0], t[1], t[2], t[1], t[3])),
+    st.tuples(_YEAR, st.sampled_from("/.-"), _FIELD, _FIELD).map(
+        lambda t: "%s%s%s%s%s" % (t[0], t[1], t[2], t[1], t[3])))
+
+
+def _date_words(lexicon):
+    """One word: first a kind, then a surface, number or numeric date of that kind.
+
+    A month name with a number or pre-modifier before it and maybe a year or
+    relative year after it is also drawn as one word, so that every kind of
+    date, and days past the month's end ("30 February 1999"), are common.
+    """
+    months = [s for forms in lexicon.months.values() for s in forms]
+    kinds = [months, [s for forms in lexicon.day_ordinals.values() for s in forms],
+             list(lexicon.relative_days), list(lexicon.pre_modifiers),
+             list(lexicon.relative_years), list(lexicon.connectors),
+             list(lexicon.number_words), list(_FILLER)]
+    before = st.sampled_from(["0", "2", "29", "30", "31", *lexicon.pre_modifiers])
+    after = st.sampled_from(["", " 1999", " 2004", *(" " + s for s in lexicon.relative_years)])
+    return st.one_of(st.sampled_from([k for k in kinds if k]).flatmap(st.sampled_from),
+                     _FIELD, _YEAR, _NUMERIC,
+                     st.tuples(before, st.sampled_from(months), after).map("%s %s%s".__mod__))
+
+
+def _records(matches):
+    """Each match's fields, normal form included, whatever its classes."""
+    def fields(n):
+        return n and (n.kind, n.year, n.month, n.day, n.rel_offset, n.to_string())
+    return [(m.offset, m.length, m.surface, fields(m.normal), fields(m.resolved))
+            for m in matches]
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extract_dates_equals_oracle(lexicon_name, data, request):
+    lexicon = request.getfixturevalue(lexicon_name)
+    text = data.draw(_joined(_date_words(lexicon), 24))
+    order = data.draw(st.sampled_from([None, dates.ORDER_DMY, dates.ORDER_MDY]))
+    reject = data.draw(st.booleans())
+    reference = data.draw(st.none() | st.dates(datetime.date(1900, 1, 1),
+                                               datetime.date(2100, 12, 31)))
+    got, want = [], []
+    matches = extract_dates(text, lexicon, reference, order, reject, got)
+    expected = dates_oracle.extract_dates(text, lexicon, reference, order, reject, want)
+    assert _records(matches) == _records(expected)
+    assert got == want
+
+
+# --------------------------------------------------------------------------
+# any lexicon the loader accepts
+
+# Pieces of generated surfaces: mixed case, punctuation, digits and separators.
+_PIECES = st.sampled_from(["May", "mai", "Ma", "x", "é", "ß", "7", "99", "of", "The", "Two",
+                           ".", ",", "'", " ", "-", "\u00a0"])
+_SURFACE = st.lists(_PIECES, min_size=1, max_size=3).map("".join)
+_INT_SECTIONS = {
+    "relative_days": st.one_of(st.integers(-3, 3), st.sampled_from([10 ** 9, -10 ** 30])),
+    "pre_modifiers": st.integers(-2, 2),
+    "relative_years": st.one_of(st.integers(-3, 3), st.just(10 ** 30)),
+    "number_words": st.sampled_from([0, 1, 2, 9, 10, 19, 20, 40, 99, 1000]),
+}
+
+
+@st.composite
+def _lexicon_file(draw):
+    """A lexicon file whose surfaces differ, so that most drawn files load."""
+    pool = draw(st.lists(_SURFACE, min_size=40, max_size=40, unique_by=str.strip))
+
+    def take(sizes):
+        taken = pool[:draw(sizes)]
+        del pool[:len(taken)]
+        return taken
+
+    lines = ["[meta]", "default_order = " + draw(st.sampled_from(["dmy", "mdy"])), "[months]"]
+    lines += ["%d = %s" % (i, "|".join(take(st.integers(1, 2)))) for i in range(1, 13)]
+    lines.append("[day_ordinals]")
+    lines += ["%d = %s" % (day, "|".join(take(st.integers(0, 2))))
+              for day in draw(st.sets(st.integers(1, 31), max_size=4))]
+    for section, values in _INT_SECTIONS.items():
+        lines.append("[%s]" % section)
+        lines += ["%s = %d" % (key, draw(values)) for key in take(st.integers(0, 4))]
+    lines.append("[connectors]")
+    lines += take(st.integers(0, 3))
+    return "\n".join(lines) + "\n"
+
+
+def _lexicon_words(lexicon):
+    return st.sampled_from([s for forms in lexicon.months.values() for s in forms]
+                           + [s for forms in lexicon.day_ordinals.values() for s in forms]
+                           + [*lexicon.relative_days, *lexicon.pre_modifiers,
+                              *lexicon.relative_years, *lexicon.connectors,
+                              *lexicon.number_words, "7", "1999", "x"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(source=_lexicon_file(), data=st.data(),
+       reference=st.sampled_from([datetime.date.min, datetime.date.max]) | st.dates())
+def test_generated_lexicon_extracts_or_raises_placetime_error(tmp_path_factory, source, data,
+                                                              reference):
+    path = tmp_path_factory.getbasetemp() / "generated.lex"
+    path.write_text(source, encoding="utf-8")
+    try:
+        lexicon = load_date_lexicon(path)
+    except LoadError:
+        return
+    text = data.draw(_joined(_lexicon_words(lexicon), 16))
+    try:
+        matches = extract_dates(text, lexicon, reference=reference)
+    except PlacetimeError:
+        return
+    for m in matches:
+        assert m.length > 0 and text[m.offset:m.offset + m.length] == m.surface
