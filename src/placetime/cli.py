@@ -122,13 +122,20 @@ def _run_documents(args, analyse, render):
     with _open_out(args) as out:
         for path in args.paths:
             try:
-                result = analyse(path, Path(path).read_bytes())
+                with open(path, "rb") as f:
+                    raw = f.read()
+                result = analyse(path, raw)
             except (OSError, PlacetimeError) as exc:
                 print("placetime: %s: %s" % (path, exc), file=sys.stderr)
                 failed = True
                 continue
             out.write(render(path, result))
     return 1 if failed else 0
+
+
+# One encoder for every record: json.dumps builds a new one per call when
+# given any non-default argument.
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _render_matches(args, record, span):
@@ -141,7 +148,7 @@ def _render_matches(args, record, span):
     else:
         def render(path, result):
             _, matches, trailer = result
-            return "".join(json.dumps(r, ensure_ascii=False) + "\n"
+            return "".join(_encode_json(r) + "\n"
                            for r in [*(record(path, m) for m in matches), *trailer])
     return render
 

@@ -7,11 +7,16 @@ words), so adding a language means writing a parameter file, not code.
 The pipeline first finds complete numeric dates (``13/02/03``,
 ``31.5.2003``), infers whether the document writes day-month-year or
 month-day-year, then anchors on month names and scans both sides for the
-remaining parts.  Each left-context search is bounded by token count: it
+remaining parts.  The full-text scans keep the regex engine from trying a
+match at every character: the numeric patterns start with a digit (the
+engine skips ahead to the next one), and the month and relative-day
+patterns start with a lookahead for the first characters of the lexicon's
+own surfaces.  Each left-context search is bounded by token count: it
 looks only as many separator-delimited tokens back from the month as the
 lexicon's longest connector, day surface, year and pre-modifier could
-fill, which finds the same match as a search over the whole prefix.
-Overlaps between candidates are resolved against sorted spans, so
+fill, which finds the same match as a search over the whole prefix.  The
+day, year and pre-modifier searches that end at the month share one such
+window.  Overlaps between candidates are resolved against sorted spans, so
 extraction takes time linear in document length.  Matches carry character
 offset, length and a typed normal form; relative expressions can be
 resolved against a reference date.
@@ -75,12 +80,12 @@ class NormalizedDate:
         if self.month is not None and not 1 <= self.month <= 12:
             raise ValueError("month %r outside 1..12" % (self.month,))
         if self.day is not None:
-            if self.year is not None and self.month is not None:
-                limit = calendar.monthrange(self.year, self.month)[1]
-            elif self.month is not None:
-                limit = _MONTH_DAYS[self.month - 1]
-            else:
+            if self.month is None:
                 limit = 31
+            elif self.month == 2 and self.year is not None and not calendar.isleap(self.year):
+                limit = 28
+            else:
+                limit = _MONTH_DAYS[self.month - 1]
             if not 1 <= self.day <= limit:
                 raise ValueError("day %r invalid for month %r year %r"
                                  % (self.day, self.month, self.year))
@@ -120,6 +125,11 @@ class DateLexicon:
 
 _SECTIONS = ("meta", "months", "day_ordinals", "relative_days", "pre_modifiers",
              "relative_years", "connectors", "number_words")
+
+
+def _surfaces(value):
+    """The non-empty ``|``-separated surfaces of a value, each stripped."""
+    return [s for s in map(str.strip, value.split("|")) if s]
 
 
 def load_date_lexicon(path) -> DateLexicon:
@@ -162,7 +172,7 @@ def load_date_lexicon(path) -> DateLexicon:
             raise LoadError("%s:%d: month index %r" % (path, lineno, key)) from exc
         if not 1 <= idx <= 12 or idx in months:
             raise LoadError("%s:%d: bad or duplicate month index %d" % (path, lineno, idx))
-        surfaces = [s for s in value.split("|") if s]
+        surfaces = _surfaces(value)
         if not surfaces:
             raise LoadError("%s:%d: month %d has no surfaces" % (path, lineno, idx))
         months[idx] = surfaces
@@ -178,7 +188,7 @@ def load_date_lexicon(path) -> DateLexicon:
             raise LoadError("%s:%d: day index %r" % (path, lineno, key)) from exc
         if not 1 <= idx <= 31:
             raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, idx))
-        day_ordinals.setdefault(idx, []).extend(s for s in value.split("|") if s)
+        day_ordinals.setdefault(idx, []).extend(_surfaces(value))
 
     def int_map(name):
         out = {}
@@ -244,8 +254,10 @@ class NumericCandidate:
     mdy_possible: bool
 
 
-_RE_NUM_YMD = re.compile(r"(?<!\d)(\d{4})([./-])(\d{1,2})\2(\d{1,2})(?!\d)")
-_RE_NUM_GEN = re.compile(r"(?<!\d)(\d{1,2})([./-])(\d{1,2})\2(\d{4}|\d{2})(?!\d)")
+# Each pattern starts with a digit, so the regex engine skips ahead to the
+# next digit; ``\d(?<!\d\d)`` is a digit that follows no digit.
+_RE_NUM_YMD = re.compile(r"(\d(?<!\d\d)\d{3})([./-])(\d{1,2})\2(\d{1,2})(?!\d)")
+_RE_NUM_GEN = re.compile(r"(\d(?<!\d\d)\d?)([./-])(\d{1,2})\2(\d{4}|\d{2})(?!\d)")
 
 
 def _day_ok(month: int, day: int) -> bool:
@@ -318,6 +330,16 @@ def _alt(surfaces):
     return "|".join(re.escape(s) for s in sorted(surfaces, key=len, reverse=True))
 
 
+def _first_char(surfaces):
+    """A lookahead for the characters that ``surfaces`` (none empty) start with.
+
+    A pattern led by an assertion gets no first-character prefilter from the
+    regex engine, which then tries a whole match at every position; this
+    lookahead rejects most positions with one class test.
+    """
+    return "(?=[%s])" % "".join(sorted({re.escape(s[0]) for s in surfaces}))
+
+
 _RE_TOKEN = re.compile(r"[^\s,-]+")
 _RE_WORD_SEP = re.compile(r"[\s-]+")     # between spelled number words
 
@@ -345,7 +367,8 @@ class _Scanner:
         day_surf = _alt(self.day_of)
         day_alt = r"(?:%s|\d{1,2})" % day_surf if day_surf else r"\d{1,2}"
 
-        self.re_month = re.compile(r"(?<!\w)(%s)(?!\w)" % month_alt)
+        self.re_month = re.compile(r"%s(?<!\w)(%s)(?!\w)"
+                                   % (_first_char(self.month_of), month_alt))
         self.re_day_left = re.compile(
             r"(?<!\w)(?:(%s)[\s,]+)?(%s)(?:[\s,]+(?:%s))?[\s,]+\Z"
             % (conn, day_alt, conn))
@@ -375,7 +398,8 @@ class _Scanner:
             self.re_numseq = None
         if lexicon.relative_days:
             self.re_relday = re.compile(
-                r"(?<!\w)(%s)(?!\w)" % _alt(lexicon.relative_days))
+                r"%s(?<!\w)(%s)(?!\w)"
+                % (_first_char(lexicon.relative_days), _alt(lexicon.relative_days)))
         else:
             self.re_relday = None
 
@@ -388,17 +412,21 @@ class _Scanner:
         self.re_left_window = re.compile(
             r"[\s,-]*[^\s,-]+(?:[\s,-]+[^\s,-]+){%d}" % left_tokens)
 
-    def search_left(self, pattern, text, rev, end):
-        """``pattern.search(text[:end])`` for a ``\\Z``-anchored left pattern.
+    def left_window(self, text, rev, end):
+        """The start of the window before ``end`` that a left search covers.
 
-        The search runs over the window before ``end`` that holds one token
-        more than any match can.  A match starting before the window would
-        hold every token in it, so the leftmost match is the same as over
-        the whole prefix; lookbehinds still see the text before the window.
-        ``rev`` is ``text`` reversed.
+        The window holds one token more than any match of ``re_day_left``,
+        ``re_year_left`` or ``re_premod`` can.  A match starting before it
+        would hold every token in it, so the leftmost match in the window is
+        the leftmost in the whole prefix; lookbehinds still see the text
+        before the window.  ``rev`` is ``text`` reversed.
         """
         w = self.re_left_window.match(rev, len(text) - end)
-        return pattern.search(text, 0 if w is None else len(text) - w.end(), end)
+        return 0 if w is None else len(text) - w.end()
+
+    def search_left(self, pattern, text, rev, end):
+        """``pattern.search(text[:end])`` for a ``\\Z``-anchored left pattern."""
+        return pattern.search(text, self.left_window(text, rev, end), end)
 
     def parse_day(self, surface: str):
         if surface in self.day_of:
@@ -474,7 +502,10 @@ def _scan_month(text, rev, m, sc: _Scanner):
     day = year = rel_offset = None
     spelled_thousand = False
 
-    lm = sc.search_left(sc.re_day_left, text, rev, anchor)
+    # re_day_left, re_year_left and re_premod all end at the anchor, so they
+    # share one window; a year before a day ends elsewhere and gets its own.
+    window = sc.left_window(text, rev, anchor)
+    lm = sc.re_day_left.search(text, window, anchor)
     if lm is not None:
         parsed = sc.parse_day(lm.group(2))
         if parsed is not None:
@@ -489,7 +520,7 @@ def _scan_month(text, rev, m, sc: _Scanner):
                 # precedes it ("1999, the 2nd of May").
                 start = lm.start(2)
     if day is None:
-        ym = sc.search_left(sc.re_year_left, text, rev, anchor)
+        ym = sc.re_year_left.search(text, window, anchor)
         if ym is not None:
             year = int(ym.group(1))
             start = ym.start(1)
@@ -544,7 +575,7 @@ def _scan_month(text, rev, m, sc: _Scanner):
     elif year is not None:
         kind = DateKind.YEAR_MONTH
     else:
-        pm = sc.re_premod and sc.search_left(sc.re_premod, text, rev, anchor)
+        pm = sc.re_premod and sc.re_premod.search(text, window, anchor)
         if pm is None:
             return None
         start, kind = pm.start(1), DateKind.RELATIVE_MONTH
@@ -593,6 +624,11 @@ def normalize_match(candidate, document_order: str, reject_two_digit_years: bool
     return DateMatch(candidate.offset, candidate.length, candidate.surface, normal)
 
 
+def _out_of_range(normal, reference):
+    return PlacetimeError("%s is out of range from reference %s"
+                          % (normal.to_string(), reference))
+
+
 def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> NormalizedDate:
     """Resolve a relative normal form against a reference date."""
     k = normal.kind
@@ -600,8 +636,7 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
         try:
             resolved = reference + datetime.timedelta(days=normal.rel_offset)
         except OverflowError as exc:
-            raise PlacetimeError("%s is out of range from reference %s"
-                                 % (normal.to_string(), reference)) from exc
+            raise _out_of_range(normal, reference) from exc
         return NormalizedDate(DateKind.FULL, year=resolved.year,
                               month=resolved.month, day=resolved.day)
     if k is DateKind.RELATIVE_MONTH:
@@ -613,12 +648,13 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
             year = reference.year - (0 if month < reference.month else 1)
         else:
             year = reference.year
-        return NormalizedDate(DateKind.YEAR_MONTH, year=year, month=month)
-    if k is DateKind.MONTH_RELATIVE_YEAR:
-        return NormalizedDate(DateKind.YEAR_MONTH,
-                              year=reference.year + normal.rel_offset,
-                              month=normal.month)
-    raise ContractError("cannot resolve non-relative kind %s" % k)
+    elif k is DateKind.MONTH_RELATIVE_YEAR:
+        year, month = reference.year + normal.rel_offset, normal.month
+    else:
+        raise ContractError("cannot resolve non-relative kind %s" % k)
+    if not datetime.MINYEAR <= year <= datetime.MAXYEAR:
+        raise _out_of_range(normal, reference)
+    return NormalizedDate(DateKind.YEAR_MONTH, year=year, month=month)
 
 
 _offset = operator.attrgetter("offset")

@@ -1,10 +1,13 @@
-"""The date normal forms, month scan and normalizer that the per-kind table in
-``dates.DateKind`` replaced, kept as the reference the tests compare them against.
+"""The date normal forms, scans, month scan and normalizer that ``dates`` replaced,
+kept as the reference the tests compare them against.
 
 Here each kind's required fields and its normal form are spelled out in two
-``if`` ladders, ``_scan_month`` builds its candidate separately for each kind,
-and ``normalize_match`` has one path for numeric candidates and one for lexical
-ones.  Overlaps are resolved by a pairwise scan.
+``if`` ladders, the day check asks ``calendar.monthrange``, ``_scan_month``
+builds its candidate separately for each kind and computes a left window for
+every search, and ``normalize_match`` has one path for numeric candidates and
+one for lexical ones.  The numeric, month and relative-day patterns start with
+their lookbehind, with no first-character filter.  Overlaps are resolved by a
+pairwise scan.
 """
 
 import calendar
@@ -13,8 +16,38 @@ import re
 from dataclasses import dataclass
 
 from placetime.dates import (_MONTH_DAYS, ORDER_MDY, DateKind, LexicalCandidate,
-                             NumericCandidate, _expand_year, find_numeric_dates,
+                             NumericCandidate, _alt, _day_ok, _expand_year,
                              infer_document_order)
+
+RE_NUM_YMD = re.compile(r"(?<!\d)(\d{4})([./-])(\d{1,2})\2(\d{1,2})(?!\d)")
+RE_NUM_GEN = re.compile(r"(?<!\d)(\d{1,2})([./-])(\d{1,2})\2(\d{4}|\d{2})(?!\d)")
+
+
+def month_pattern(lexicon):
+    return re.compile(r"(?<!\w)(%s)(?!\w)"
+                      % _alt(s for forms in lexicon.months.values() for s in forms))
+
+
+def relday_pattern(lexicon):
+    return re.compile(r"(?<!\w)(%s)(?!\w)" % _alt(lexicon.relative_days))
+
+
+def find_numeric_dates(text):
+    candidates = []
+    iso = [m.span() for m in RE_NUM_YMD.finditer(text)]
+    for m in RE_NUM_YMD.finditer(text):
+        f1, f2, f3 = m.group(1, 3, 4)
+        candidates.append(NumericCandidate(m.start(), m.end() - m.start(), m.group(0),
+                                           f1, f2, f3, True, False, False))
+    for m in RE_NUM_GEN.finditer(text):
+        if any(m.start() < e and m.end() > s for s, e in iso):
+            continue
+        f1, f2, f3 = m.group(1, 3, 4)
+        a, b = int(f1), int(f2)
+        candidates.append(NumericCandidate(m.start(), m.end() - m.start(), m.group(0),
+                                           f1, f2, f3, False, _day_ok(b, a), _day_ok(a, b)))
+    candidates.sort(key=lambda c: c.offset)
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -171,10 +204,10 @@ def _scan_month(text, rev, m, sc):
 def find_lexical_dates(text, lexicon):
     sc = lexicon._scanner
     rev = text[::-1]
-    candidates = [c for m in sc.re_month.finditer(text)
+    candidates = [c for m in month_pattern(lexicon).finditer(text)
                   if (c := _scan_month(text, rev, m, sc)) is not None]
-    if sc.re_relday is not None:
-        for m in sc.re_relday.finditer(text):
+    if lexicon.relative_days:
+        for m in relday_pattern(lexicon).finditer(text):
             candidates.append(LexicalCandidate(
                 offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
                 kind=DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[m.group(1)]))

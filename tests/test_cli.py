@@ -203,6 +203,35 @@ class TestDates:
         assert err == "placetime: bad.txt: %r: D%s is out of range from reference %s\n" % (
             word, offset, reference)
 
+    @pytest.mark.parametrize("phrase,reference,normal", [
+        ("next June", "9999-12-31", "M06+1"),
+        ("last June", "0001-01-01", "M06-1"),
+        ("February next year", "9999-12-31", "M02Y+1"),
+        ("February last year", "0001-01-01", "M02Y-1"),
+    ])
+    def test_unresolvable_relative_month_or_year_skips_file(self, capsys, tmp_path, monkeypatch,
+                                                            phrase, reference, normal):
+        (tmp_path / "bad.txt").write_text("Due %s." % phrase)
+        (tmp_path / "good.txt").write_text("Signed 21 March 2001.")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "bad.txt", "good.txt", "--lexicon", LEX_EN,
+                             "--reference", reference)
+        assert code == 1
+        assert [r["path"] for r in records(out)] == ["good.txt"]
+        assert err == "placetime: bad.txt: %r: %s is out of range from reference %s\n" % (
+            phrase, normal, reference)
+
+    def test_leading_space_after_bar_is_stripped(self, capsys, tmp_path, monkeypatch):
+        text = Path(LEX_EN).read_text(encoding="utf-8").replace(
+            "\n1 = January|Jan|Jan.\n", "\n1 = January| Jan\n")
+        (tmp_path / "x.lex").write_text(text, encoding="utf-8")
+        (tmp_path / "doc.txt").write_text("met x Jan 2003 and 3 Jan 2003")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", "x.lex")
+        assert (code, err) == (0, "")
+        assert [(r["surface"], r["normal"]) for r in records(out)] == [
+            ("Jan 2003", "2003-01"), ("3 Jan 2003", "2003-01-03")]
+
     @pytest.mark.parametrize("section,line,message", [
         ("number_words", "nineteen-oh = 1900", "number word 'nineteen-oh' holds a space or '-'"),
         ("number_words", "nineteen oh = 1900", "number word 'nineteen oh' holds a space or '-'"),
@@ -379,6 +408,34 @@ def test_missing_file_skipped_in_input_order(capsys, tmp_path, profile_dir, comm
         paths = [r["path"] for r in records(out)]
     assert list(dict.fromkeys(paths)) == docs
     assert paths == sorted(paths, key=docs.index)
+
+
+@pytest.mark.parametrize("command", ["identify", "dates", "places"])
+@pytest.mark.parametrize("name,message", [
+    ("missing.txt", "[Errno 2] No such file or directory: %r"),
+    ("folder", "[Errno 21] Is a directory: %r"),
+])
+def test_unreadable_path_message(capsys, tmp_path, monkeypatch, profile_dir, command,
+                                 name, message):
+    flags = {"identify": ["--profiles", str(profile_dir)],
+             "dates": ["--lexicon", LEX_EN], "places": ["--gazetteer", GAZ]}[command]
+    (tmp_path / "folder").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, name, *flags)
+    assert (code, out) == (1, "")
+    assert err == "placetime: %s: %s\n" % (name, message % name)
+
+
+def test_standoff_records_encode_as_json_dumps(capsys, tmp_path, monkeypatch):
+    (tmp_path / "doc.txt").write_text("La 1 întîi mai 2003 la București, Paris.",
+                                      encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["dates", "doc.txt", "--lexicon", LEX_RO, "--reference", "2003-03-01"],
+                 ["places", "doc.txt", "--gazetteer", GAZ]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out
+        assert out == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records(out))
+        assert "\\u" not in out
 
 
 def test_jobs_flag_removed(capsys, tmp_path):

@@ -1,9 +1,10 @@
+import calendar
 import dataclasses
 import datetime
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from placetime import dates
@@ -38,6 +39,18 @@ class TestNormalizedDate:
         with pytest.raises(ValueError):
             NormalizedDate(DateKind.MONTH_DAY, month=13, day=2)
 
+    def test_day_limit_equals_calendar(self):
+        for year in (0, 1, 4, 100, 1900, 2000, 2003, 2004, 9999):
+            for month in range(1, 13):
+                for day in (0, 1, 28, 29, 30, 31, 32):
+                    valid = 1 <= day <= calendar.monthrange(year, month)[1]
+                    try:
+                        NormalizedDate(DateKind.FULL, year=year, month=month, day=day)
+                    except ValueError:
+                        assert not valid
+                    else:
+                        assert valid
+
     def test_calendar_validity(self):
         with pytest.raises(ValueError):
             NormalizedDate(DateKind.FULL, year=2003, month=2, day=29)
@@ -65,6 +78,15 @@ class TestLexiconLoad:
                         "".join("%d = m%d\n" % (i, i) for i in range(1, 12)))
         with pytest.raises(LoadError):
             load_date_lexicon(path)
+
+    def test_bar_separated_surfaces_are_stripped(self, tmp_path):
+        path = tmp_path / "x.lex"
+        path.write_text("[months]\n1 = January| Jan |\t| Jan.\n" +
+                        "".join("%d = m%d\n" % (i, i) for i in range(2, 13)) +
+                        "[day_ordinals]\n1 = first | 1st\n2 =  |second\n", encoding="utf-8")
+        lexicon = load_date_lexicon(path)
+        assert lexicon.months[1] == ["January", "Jan", "Jan."]
+        assert lexicon.day_ordinals == {1: ["first", "1st"], 2: ["second"]}
 
     def test_conflicting_surface_rejected(self, tmp_path):
         path = tmp_path / "bad.lex"
@@ -294,6 +316,27 @@ class TestResolveRelative:
             resolve_relative(n, reference)
         assert str(info.value) == "D%+d is out of range from reference %s" % (offset, reference)
 
+    @pytest.mark.parametrize("kind,month,offset,reference,normal", [
+        (DateKind.RELATIVE_MONTH, 6, 1, datetime.date.max, "M06+1"),
+        (DateKind.RELATIVE_MONTH, 6, -1, datetime.date.min, "M06-1"),
+        (DateKind.MONTH_RELATIVE_YEAR, 2, 1, datetime.date.max, "M02Y+1"),
+        (DateKind.MONTH_RELATIVE_YEAR, 2, -1, datetime.date.min, "M02Y-1"),
+        (DateKind.MONTH_RELATIVE_YEAR, 2, 10 ** 30, datetime.date(2003, 3, 1),
+         "M02Y+%d" % 10 ** 30),
+    ], ids=["month-next-max", "month-last-min", "year-next-max", "year-last-min", "year-huge"])
+    def test_relative_month_and_year_out_of_range(self, kind, month, offset, reference, normal):
+        n = NormalizedDate(kind, month=month, rel_offset=offset)
+        with pytest.raises(PlacetimeError) as info:
+            resolve_relative(n, reference)
+        assert str(info.value) == "%s is out of range from reference %s" % (normal, reference)
+
+    def test_relative_month_and_year_at_the_edges(self):
+        assert resolve_relative(NormalizedDate(DateKind.RELATIVE_MONTH, month=12, rel_offset=1),
+                                datetime.date(9999, 11, 30)).to_string() == "9999-12"
+        assert resolve_relative(NormalizedDate(DateKind.MONTH_RELATIVE_YEAR, month=1,
+                                               rel_offset=-1),
+                                datetime.date(2, 1, 1)).to_string() == "0001-01"
+
 
 class TestExtractPipeline:
     def test_offset_fidelity(self, lexicon_en):
@@ -355,15 +398,12 @@ def _left_words(lexicon):
     multi-word connectors are drawn as often as all day ordinals together."""
     days = [s for forms in lexicon.day_ordinals.values() for s in forms]
     kinds = [list(lexicon.connectors), days, ["1", "02", "31", "1999", "2003"],
-             list(_FILLER)] + ([list(lexicon.pre_modifiers)] if lexicon.pre_modifiers else [])
-    return st.sampled_from(kinds).flatmap(st.sampled_from)
+             list(_FILLER), list(lexicon.pre_modifiers)]
+    return st.sampled_from([k for k in kinds if k]).flatmap(st.sampled_from)
 
 
-@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_windowed_left_search_equals_unbounded(lexicon_name, data, request):
-    lexicon = request.getfixturevalue(lexicon_name)
+def _check_left_searches(lexicon, data):
+    """Every left search, windowed, equals the search over the whole prefix."""
     sc = lexicon._scanner
     parts = data.draw(st.lists(st.tuples(_left_words(lexicon), _SEPARATOR_RUNS), max_size=24))
     text = ""
@@ -378,9 +418,19 @@ def test_windowed_left_search_equals_unbounded(lexicon_name, data, request):
         if pattern is None:
             continue
         for end in ends:
-            want = pattern.search(text[:end])
-            got = sc.search_left(pattern, text, rev, end)
-            assert (got and (got.span(), got.groups())) == (want and (want.span(), want.groups()))
+            want = _found(pattern.search(text[:end]))
+            assert _found(sc.search_left(pattern, text, rev, end)) == want
+
+
+def _found(m):
+    return m and (m.span(), m.groups())
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_windowed_left_search_equals_unbounded(lexicon_name, data, request):
+    _check_left_searches(request.getfixturevalue(lexicon_name), data)
 
 
 @pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
@@ -450,6 +500,19 @@ _NUMERIC = st.one_of(
         lambda t: "%s%s%s%s%s" % (t[0], t[1], t[2], t[1], t[3])))
 
 
+def _left_run(lexicon):
+    """A year, two connectors, a day and a connector before a month, each but
+    the day and month often left out: the longest contexts the left searches
+    read."""
+    def maybe(surfaces):
+        return st.sampled_from(["", *surfaces])
+    conn = maybe(lexicon.connectors)
+    days = [s for forms in lexicon.day_ordinals.values() for s in forms]
+    return st.tuples(maybe(["1999"]), conn, conn, st.sampled_from(["7", "31", *days]), conn,
+                     st.sampled_from([s for forms in lexicon.months.values() for s in forms])
+                     ).map(lambda parts: " ".join(p for p in parts if p))
+
+
 def _date_words(lexicon):
     """One word: first a kind, then a surface, number or numeric date of that kind.
 
@@ -466,7 +529,8 @@ def _date_words(lexicon):
     after = st.sampled_from(["", " 1999", " 2004", *(" " + s for s in lexicon.relative_years)])
     return st.one_of(st.sampled_from([k for k in kinds if k]).flatmap(st.sampled_from),
                      _FIELD, _YEAR, _NUMERIC,
-                     st.tuples(before, st.sampled_from(months), after).map("%s %s%s".__mod__))
+                     st.tuples(before, st.sampled_from(months), after).map("%s %s%s".__mod__),
+                     _left_run(lexicon))
 
 
 def _records(matches):
@@ -532,6 +596,16 @@ def _lexicon_file(draw):
     return "\n".join(lines) + "\n"
 
 
+def _load_generated(tmp_path_factory, source):
+    """The lexicon of a generated file; None when the loader rejects it."""
+    path = tmp_path_factory.getbasetemp() / "generated.lex"
+    path.write_text(source, encoding="utf-8")
+    try:
+        return load_date_lexicon(path)
+    except LoadError:
+        return None
+
+
 def _lexicon_words(lexicon):
     return st.sampled_from([s for forms in lexicon.months.values() for s in forms]
                            + [s for forms in lexicon.day_ordinals.values() for s in forms]
@@ -545,11 +619,8 @@ def _lexicon_words(lexicon):
        reference=st.sampled_from([datetime.date.min, datetime.date.max]) | st.dates())
 def test_generated_lexicon_extracts_or_raises_placetime_error(tmp_path_factory, source, data,
                                                               reference):
-    path = tmp_path_factory.getbasetemp() / "generated.lex"
-    path.write_text(source, encoding="utf-8")
-    try:
-        lexicon = load_date_lexicon(path)
-    except LoadError:
+    lexicon = _load_generated(tmp_path_factory, source)
+    if lexicon is None:
         return
     text = data.draw(_joined(_lexicon_words(lexicon), 16))
     try:
@@ -558,3 +629,68 @@ def test_generated_lexicon_extracts_or_raises_placetime_error(tmp_path_factory, 
         return
     for m in matches:
         assert m.length > 0 and text[m.offset:m.offset + m.length] == m.surface
+
+
+# The same, against the lookbehind-led scans and per-search windows of the
+# oracle.  Text mixes the lexicon's surfaces with numeric dates, fields, a
+# non-ASCII digit and runs of years, connectors and days before a month, where
+# the left searches reach furthest.
+
+def _scan_words(lexicon):
+    return st.one_of(_lexicon_words(lexicon), _NUMERIC, _FIELD, _YEAR, st.just("\u0663"),
+                     _left_run(lexicon))
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=_lexicon_file(), data=st.data())
+def test_generated_lexicon_scans_equal_lookbehind_led(tmp_path_factory, source, data):
+    lexicon = _load_generated(tmp_path_factory, source)
+    assume(lexicon is not None)
+    sc = lexicon._scanner
+    text = data.draw(_joined(_scan_words(lexicon), 24))
+    pairs = [(sc.re_month, dates_oracle.month_pattern(lexicon)),
+             (dates._RE_NUM_YMD, dates_oracle.RE_NUM_YMD),
+             (dates._RE_NUM_GEN, dates_oracle.RE_NUM_GEN)]
+    if lexicon.relative_days:
+        pairs.append((sc.re_relday, dates_oracle.relday_pattern(lexicon)))
+    for new, old in pairs:
+        assert list(map(_found, new.finditer(text))) == list(map(_found, old.finditer(text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=_lexicon_file(), data=st.data())
+def test_generated_lexicon_windowed_left_search_equals_unbounded(tmp_path_factory, source,
+                                                                 data):
+    lexicon = _load_generated(tmp_path_factory, source)
+    assume(lexicon is not None)
+    _check_left_searches(lexicon, data)
+
+
+def _oracle_records(text, lexicon, *args):
+    """The oracle's records, or None where dates raises: a resolved year out of range."""
+    try:
+        matches = dates_oracle.extract_dates(text, lexicon, *args)
+    except OverflowError:
+        return None
+    if any(m.resolved and not 1 <= m.resolved.year <= 9999 for m in matches):
+        return None
+    return _records(matches)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=_lexicon_file(), data=st.data())
+def test_generated_lexicon_extract_dates_equals_oracle(tmp_path_factory, source, data):
+    lexicon = _load_generated(tmp_path_factory, source)
+    assume(lexicon is not None)
+    text = data.draw(_joined(_scan_words(lexicon), 24))
+    args = (data.draw(st.none() | st.sampled_from([datetime.date.min, datetime.date.max])
+                      | st.dates()),
+            data.draw(st.sampled_from([None, dates.ORDER_DMY, dates.ORDER_MDY])),
+            data.draw(st.booleans()))
+    got, want = [], []
+    try:
+        records = _records(extract_dates(text, lexicon, *args, got))
+    except PlacetimeError:
+        records = None
+    assert records == _oracle_records(text, lexicon, *args, want)
+    assert got == want
