@@ -21,7 +21,8 @@ from collections import Counter
 from pathlib import Path
 
 from . import annotate, dates, gazetteer, geotag, langid, mapviz
-from .errors import ConfigError, LoadError, PlacetimeError, TrainingError, read_lines
+from .errors import (ConfigError, LoadError, PlacetimeError, TrainingError, check_country,
+                     read_lines)
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -98,7 +99,12 @@ def _open_out(args):
 
 
 def _decoder(args):
-    """``decode(raw)`` with the declared, identified (no --lang) or UTF-8 encoding."""
+    """``decode(raw)`` with the declared, identified (no --lang) or UTF-8 encoding.
+
+    An unknown ``--encoding`` fails here, before any file is read.
+    """
+    if args.encoding:
+        langid.decode_to_utf8(b"", args.encoding)
     profiles = (langid.load_profile_dir(args.profiles)
                 if args.profiles and not args.encoding and not args.lang else None)
 
@@ -195,6 +201,7 @@ def _date_span(m):
 
 
 def cmd_dates(args):
+    decode = _decoder(args)
     lexicon = dates.load_date_lexicon(args.lexicon)
     reference = None
     if args.reference:
@@ -202,7 +209,6 @@ def cmd_dates(args):
             reference = datetime.date.fromisoformat(args.reference)
         except ValueError as exc:
             raise ConfigError("bad --reference %r: %s" % (args.reference, exc)) from exc
-    decode = _decoder(args)
 
     def analyse(path, raw):
         text = decode(raw)
@@ -242,12 +248,16 @@ def _geo_span(m, index):
 def _parse_size_filter(spec):
     try:
         limit, _, countries = spec.partition(":")
-        return int(limit), tuple(c for c in countries.split(",") if c)
+        keep = tuple(c for c in countries.split(",") if c)
+        for country in keep:
+            check_country(country)
+        return int(limit), keep
     except ValueError as exc:
         raise ConfigError("bad --max-size-class-outside %r" % spec) from exc
 
 
 def cmd_places(args):
+    decode = _decoder(args)
     if args.max_size_class_outside:
         limit, keep = _parse_size_filter(args.max_size_class_outside)
         index = gazetteer.load_gazetteer(args.gazetteer, max_size_class=limit,
@@ -258,7 +268,6 @@ def cmd_places(args):
                  if args.stopwords else None)
     triggers = gazetteer.load_triggers(args.triggers) if args.triggers else None
     table = gazetteer.name_table(index, triggers)
-    decode = _decoder(args)
 
     def analyse(path, raw):
         text = decode(raw)

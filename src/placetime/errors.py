@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the reader of its data files."""
+"""Exception types shared across the toolkit, the reader of its data files, and
+the country-code rule they share."""
 
 from pathlib import Path
 
@@ -36,6 +37,12 @@ class LoadError(PlacetimeError):
 
 class ContractError(PlacetimeError):
     """Raised when an operation is called outside its contract."""
+
+
+def check_country(code):
+    """Raise ValueError unless ``code`` is a country code: two upper-case letters."""
+    if len(code) != 2 or not code.isalpha() or not code.isupper():
+        raise ValueError("bad country code %r" % (code,))
 
 
 def read_lines(path, what):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import LoadError, read_lines, tsv_records
+from .errors import LoadError, check_country, read_lines, tsv_records
 
 TRIGGER_KINDS = ("iso_code", "currency", "adjective", "country_name")
 
@@ -75,12 +75,6 @@ class PlaceRecord:
         return (self.canonical_name,) + self.variants
 
 
-def _check_country(country: str) -> None:
-    """Raise ValueError unless ``country`` is a two-letter upper-case code."""
-    if len(country) != 2 or not country.isalpha() or not country.isupper():
-        raise ValueError("bad country code %r" % (country,))
-
-
 @dataclass(frozen=True)
 class CountryTrigger:
     surface: str
@@ -92,7 +86,7 @@ class CountryTrigger:
             raise ValueError("unindexable trigger surface %r" % (self.surface,))
         if self.kind not in TRIGGER_KINDS:
             raise ValueError("unknown trigger kind %r" % (self.kind,))
-        _check_country(self.country)
+        check_country(self.country)
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ class GeoStopList:
 
 @dataclass(frozen=True)
 class SpanMatch:
-    """A name starting at some token position: its token span and payload."""
+    """A name at some token position: its token span and place ids, or (first trigger,)."""
     span: int
     payload: tuple
 
@@ -130,7 +124,7 @@ class GazetteerIndex:
             ((surface, i) for i, rec in enumerate(records) for surface in rec.surfaces()),
             lambda surface, i: located(
                 i, "unindexable surface %r for id %d" % (surface, records[i].id)),
-            lambda positions: tuple(sorted({records[i].id for i in positions})))
+            lambda key, positions: (key, tuple(sorted({records[i].id for i in positions})), None))
 
     def match_at(self, tokens, position):
         """Longest name/variant whose tokens start at ``position``, or None."""
@@ -138,13 +132,8 @@ class GazetteerIndex:
 
     def single_token_surfaces(self):
         """All distinct single-token surface forms in the index."""
-        out = set()
-        for rec in self.records.values():
-            for surface in rec.surfaces():
-                toks = tokenize(surface)
-                if len(toks) == 1:
-                    out.add(toks.texts[0])
-        return out
+        return {key[0] for entries in self._first.values() for key, _, _ in entries
+                if len(key) == 1}
 
 
 class TriggerIndex:
@@ -154,16 +143,17 @@ class TriggerIndex:
         self.triggers = tuple(triggers)
         self._first = _first_token_index(
             ((trig.surface, trig) for trig in self.triggers),
-            lambda surface, trig: "unindexable trigger surface %r" % (surface,), tuple)
+            lambda surface, trig: "unindexable trigger surface %r" % (surface,),
+            lambda key, trigs: (key, (), trigs[0]))
 
     def match_at(self, tokens, position):
         return _match_token_index(self._first, tokens, position)
 
 
-def _first_token_index(named, unindexable, payload):
-    """First token -> [(token key, payload(values))], longest key first.
+def _first_token_index(named, unindexable, entry):
+    """First token -> [entry(key, values)], longest key first.
 
-    ``named`` yields (surface, value); values of same-token surfaces keep their order.
+    ``named`` yields (surface, value); ``key`` lists its tokens; same-key values keep their order.
     """
     by_key = {}
     for surface, value in named:
@@ -173,7 +163,7 @@ def _first_token_index(named, unindexable, payload):
         by_key.setdefault(key, []).append(value)
     first = {}
     for key in sorted(by_key, key=lambda k: (-len(k), k)):
-        first.setdefault(key[0], []).append((key, payload(by_key[key])))
+        first.setdefault(key[0], []).append(entry(list(key), by_key[key]))
     return first
 
 
@@ -181,9 +171,9 @@ def _match_token_index(first_index, tokens, position):
     if position < 0 or position >= len(tokens):
         raise IndexError("position %d outside token sequence" % position)
     texts = tokens.texts
-    for key, payload in first_index.get(texts[position], ()):  # sorted longest first
-        if tuple(texts[position:position + len(key)]) == key:
-            return SpanMatch(span=len(key), payload=payload)
+    for key, ids, trigger in first_index.get(texts[position], ()):  # sorted longest first
+        if texts[position:position + len(key)] == key:
+            return SpanMatch(span=len(key), payload=ids or (trigger,))
     return None
 
 
@@ -197,23 +187,22 @@ def _starts_upper(token_text: str) -> bool:
 def name_table(index: GazetteerIndex, triggers: TriggerIndex | None = None):
     """One first-token table over place names and country triggers.
 
-    Maps a token to its entries ``(key, candidates, trigger)``: ``key`` lists a
-    surface's tokens, and a place entry holds the surface's sorted place ids
-    and no trigger, a trigger entry no ids and the surface's first trigger in
-    file order.  Entries run longest key first, a place before a trigger of the
-    same length, so the first entry whose key matches at a position is the
-    match there.  Places are listed only under a token whose first cased
-    character is upper-case; triggers need no capital.  The table serves every
-    document of a run.
+    Maps a token to the entries ``(key, candidates, trigger)`` of both indexes:
+    ``key`` lists a surface's tokens, and a place entry holds the surface's
+    sorted place ids and no trigger, a trigger entry no ids and the surface's
+    first trigger in file order.  Entries run longest key first, a place before
+    a trigger of the same length, so the first entry whose key matches at a
+    position is the match there.  Places are listed only under a token whose
+    first cased character is upper-case; triggers need no capital.  A token's
+    list is the index's own unless places and triggers both start it, so the
+    table serves every document of a run and is never changed.
     """
-    table = {}
-    for first, entries in index._first.items():
-        if _starts_upper(first):
-            table[first] = [(list(key), ids, None) for key, ids in entries]
+    table = {first: entries for first, entries in index._first.items()
+             if _starts_upper(first)}
     for first, entries in triggers._first.items() if triggers is not None else ():
-        merged = table.setdefault(first, [])
-        merged += [(list(key), (), trigs[0]) for key, trigs in entries]
-        merged.sort(key=lambda entry: -len(entry[0]))  # stable: places stay first
+        places = table.get(first)
+        table[first] = entries if places is None else sorted(
+            places + entries, key=lambda entry: -len(entry[0]))  # stable: places stay first
     return table
 
 
@@ -230,7 +219,7 @@ def _place_record(fields) -> PlaceRecord:
         raise ValueError("size_class %d outside 1..6" % size_class)
     if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
         raise ValueError("coordinates out of range")
-    _check_country(country)
+    check_country(country)
     return PlaceRecord(rid, canonical, variant_list, country, lat, lon, size_class)
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from .errors import ContractError, LoadError, tsv_records
+from .errors import ContractError, LoadError, check_country, tsv_records
 
 DEFAULT_RAMP = ("#fee5d9", "#fcae91", "#fb6a4a", "#cb181d")
 NEUTRAL_FILL = "#e8e8e8"
@@ -21,17 +21,14 @@ NEUTRAL_FILL = "#e8e8e8"
 class MapStyle:
     width: int = 1000
     height: int = 500
-    ramp: tuple = DEFAULT_RAMP
-    r_min: float = 2.0
-    r_max: float = 12.0
+    # Not fields: every map uses the same colours and dot radii.
+    ramp = DEFAULT_RAMP
+    r_min = 2.0
+    r_max = 12.0
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("canvas dimensions must be positive")
-        if not self.ramp:
-            raise ValueError("color ramp must be nonempty")
-        if self.r_min > self.r_max:
-            raise ValueError("r_min must not exceed r_max")
 
 
 @dataclass(frozen=True)
@@ -75,9 +72,8 @@ def load_outline(path):
     """Outline TSV -> {country: [polygon, ...]}, polygon = [(lon, lat), ...]."""
     outline = {}
     for lineno, (country, index, coords) in tsv_records(path, "outline", 3):
-        if len(country) != 2 or not country.isupper():
-            raise LoadError("%s:%d: bad country code %r" % (path, lineno, country))
         try:
+            check_country(country)
             int(index)
             polygon = []
             for pair in coords.split():

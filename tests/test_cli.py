@@ -368,6 +368,23 @@ class TestPlaces:
         assert code == 0
         assert strip_inline(out) == self.ROMANIAN_TEXT
 
+    def test_size_filter_keeps_listed_countries(self, capsys, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Paris and Compiègne")
+        for spec, surfaces in (("1:FR", ["Paris", "Compiègne"]), ("1:DE,GB", ["Paris"])):
+            code, out, err = run(capsys, "places", str(doc), "--gazetteer", GAZ,
+                                 "--max-size-class-outside", spec)
+            assert code == 0
+            assert [r["surface"] for r in records(out) if r["type"] == "geo"] == surfaces
+
+    @pytest.mark.parametrize("spec", ["1:fr", "1:FR,A1", "1:FRA", "x:FR"])
+    def test_bad_size_filter_exit_2(self, capsys, tmp_path, spec):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("Paris and Compiègne")
+        code, out, err = run(capsys, "places", str(doc), "--gazetteer", GAZ,
+                             "--max-size-class-outside", spec)
+        assert (code, out, err) == (2, "", "placetime: bad --max-size-class-outside %r\n" % spec)
+
     def test_bad_gazetteer_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("not\ta\tgazetteer\n")
@@ -424,6 +441,16 @@ def test_unreadable_path_message(capsys, tmp_path, monkeypatch, profile_dir, com
     code, out, err = run(capsys, command, name, *flags)
     assert (code, out) == (1, "")
     assert err == "placetime: %s: %s\n" % (name, message % name)
+
+
+@pytest.mark.parametrize("command", ["dates", "places"])
+def test_unknown_encoding_exit_2_before_any_file(capsys, tmp_path, monkeypatch, command):
+    flags = {"dates": ["--lexicon", LEX_EN], "places": ["--gazetteer", GAZ]}[command]
+    (tmp_path / "doc.txt").write_text("Paris, 21 March 2001.")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "doc.txt", "missing.txt", "doc.txt", *flags,
+                         "--encoding", "KOI8")
+    assert (code, out, err) == (2, "", "placetime: unknown encoding 'KOI8'\n")
 
 
 def test_standoff_records_encode_as_json_dumps(capsys, tmp_path, monkeypatch):
@@ -579,6 +606,17 @@ class TestMap:
         code, out, err = run(capsys, "map", str(ann), "--out", str(tmp_path / "map.svg"),
                              flag, "0")
         assert (code, out, err) == (2, "", "placetime: --width and --height must be positive\n")
+
+    def test_bad_outline_country_exit_2(self, capsys, tmp_path):
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text(self.GOOD + "\n")
+        outline = tmp_path / "o.tsv"
+        outline.write_text("FR\t0\t0,0 1,0 1,1\nA1\t0\t0,0 1,0 1,1\n")
+        svg_path = tmp_path / "map.svg"
+        code, out, err = run(capsys, "map", str(ann), "--outline", str(outline),
+                             "--out", str(svg_path))
+        assert (code, out, err) == (2, "", "placetime: %s:2: bad country code 'A1'\n" % outline)
+        assert not svg_path.exists()
 
     def test_empty_annotations_exit_2(self, capsys, tmp_path):
         ann = tmp_path / "empty.jsonl"

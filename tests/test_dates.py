@@ -363,6 +363,26 @@ class TestExtractPipeline:
                             reference=datetime.date(2003, 9, 10))
         assert out[0].resolved is None
 
+    @pytest.mark.parametrize("text, expected", [
+        ("3 May 2003, May 2003, May 3 and May",
+         [("3 May 2003", "2003-05-03"), ("2003, May 3", "2003-05-03")]),
+        ("3 May 2003; May 2003; May 3 and May",
+         [("3 May 2003", "2003-05-03"), ("May 2003", "2003-05"), ("May 3", "--05-03")]),
+        ("the 3rd of May, next May, May next year, May nineteen eighty-four, yesterday", []),
+    ])
+    def test_empty_optional_sections(self, tmp_path, text, expected):
+        # Every section but [months] is empty, so its alternation must match nothing:
+        # not a day ordinal, relative day, pre-modifier, relative year, connector or
+        # number word, and not the empty string either.
+        path = tmp_path / "empty.lex"
+        path.write_text("[meta]\nlanguage = xx\n[months]\n5 = May\n"
+                        + "".join("%d = m%d\n" % (i, i) for i in range(1, 13) if i != 5)
+                        + "[day_ordinals]\n[relative_days]\n[pre_modifiers]\n"
+                          "[relative_years]\n[connectors]\n[number_words]\n")
+        lexicon = load_date_lexicon(path)
+        assert [(m.surface, m.normal.to_string())
+                for m in extract_dates(text, lexicon)] == expected
+
     def test_long_text_equals_its_paragraphs(self, lexicon_en, corpus_dir):
         # Numeric field order is inferred per document, so paragraphs that
         # would force month-day-year on the whole text are left out.

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from placetime import gazetteer
 from placetime.errors import LoadError
-from placetime.gazetteer import load_gazetteer, load_stop_words, propose_stop_words, tokenize
+from placetime.gazetteer import (CountryTrigger, GazetteerIndex, PlaceRecord, TriggerIndex,
+                                 load_gazetteer, load_stop_words, name_table,
+                                 propose_stop_words, tokenize)
 
 import tagging_oracle
 
@@ -218,6 +220,65 @@ class TestTriggers:
         path.write_text("Foo\tFR\tnonsense\n")
         with pytest.raises(LoadError):
             gazetteer.load_triggers(path)
+
+
+def _single_tokens_by_tokenizing(index):
+    """Every surface of every record tokenized again; the one-token ones' tokens."""
+    out = set()
+    for rec in index.records.values():
+        for surface in rec.surfaces():
+            toks = tokenize(surface)
+            if len(toks) == 1:
+                out.add(toks.texts[0])
+    return out
+
+
+_SURFACE = st.text(_TOKEN_CHARS, min_size=1, max_size=12).filter(lambda s: len(tokenize(s)))
+
+
+class TestSingleTokenSurfaces:
+    def test_shipped_gazetteer(self, gaz_index):
+        assert gaz_index.single_token_surfaces() == _single_tokens_by_tokenizing(gaz_index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(names=st.lists(st.tuples(_SURFACE, st.lists(_SURFACE, max_size=3)), max_size=10))
+    def test_generated_gazetteer(self, names):
+        index = GazetteerIndex([PlaceRecord(i, canonical, tuple(variants), "FR", 0.0, 0.0, 1)
+                                for i, (canonical, variants) in enumerate(names)])
+        assert index.single_token_surfaces() == _single_tokens_by_tokenizing(index)
+
+
+class TestNameTable:
+    @pytest.fixture
+    def indexes(self):
+        index = GazetteerIndex([PlaceRecord(1, "Congo", (), "CG", 0.0, 0.0, 2),
+                                PlaceRecord(2, "Congo River", (), "CD", 0.0, 0.0, 3),
+                                PlaceRecord(3, "Paris", (), "FR", 0.0, 0.0, 1)])
+        triggers = TriggerIndex([CountryTrigger("Congo", "CG", "country_name"),
+                                 CountryTrigger("Congo River", "CD", "country_name"),
+                                 CountryTrigger("Congo Free State", "CD", "country_name"),
+                                 CountryTrigger("Congo", "CD", "country_name"),
+                                 CountryTrigger("euro", "FR", "currency")])
+        return index, triggers
+
+    def test_unmerged_lists_are_the_indexes_own(self, indexes):
+        index, triggers = indexes
+        assert name_table(index)["Paris"] is index._first["Paris"]
+        table = name_table(index, triggers)
+        assert table["Paris"] is index._first["Paris"]
+        assert table["euro"] is triggers._first["euro"]
+
+    def test_merged_list_keeps_places_first(self, indexes):
+        index, triggers = indexes
+        trig = triggers.triggers
+        assert name_table(index, triggers)["Congo"] == [
+            (["Congo", "Free", "State"], (), trig[2]),
+            (["Congo", "River"], (2,), None), (["Congo", "River"], (), trig[1]),
+            (["Congo"], (1,), None), (["Congo"], (), trig[0])]
+        # Merging builds a new list and leaves both indexes' lists as they were.
+        assert index._first["Congo"] == [(["Congo", "River"], (2,), None),
+                                         (["Congo"], (1,), None)]
+        assert len(triggers._first["Congo"]) == 3
 
 
 class TestProposeStopWords:

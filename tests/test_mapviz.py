@@ -74,6 +74,13 @@ class TestOutline:
         with pytest.raises(LoadError):
             load_outline(path)
 
+    @pytest.mark.parametrize("country", ["fr", "A1", "F", "F.", ""])
+    def test_country_code_is_two_upper_case_letters(self, tmp_path, country):
+        path = tmp_path / "o.tsv"
+        path.write_text("# outline\n%s\t0\t0,0 1,0 1,1\n" % country)
+        with pytest.raises(LoadError, match=r"o\.tsv:2: bad country code %r$" % country):
+            load_outline(path)
+
     def test_vertex_out_of_range(self, tmp_path):
         path = tmp_path / "o.tsv"
         path.write_text("FR\t0\t0,0 1,0 200,1\n")
