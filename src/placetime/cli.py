@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import functools
 import json
 import math
 import sys
@@ -145,17 +144,18 @@ _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _render_matches(args, record, span):
-    """``render`` of (text, matches, trailer): the text with each ``span(m)`` marked,
-    or ``record(path, m)`` per match and then the trailer as JSON Lines."""
+    """``render`` of (text, items, trailer): the text with each ``span(item)`` marked, or
+    ``record(path, item)`` per item and then the trailer as JSON Lines.  An item is a
+    date match, or a place match paired with its resolution."""
     if args.format == "inline":
         def render(path, result):
-            text, matches, _ = result
-            return annotate.annotate_inline(text, [span(m) for m in matches])
+            text, items, _ = result
+            return annotate.annotate_inline(text, [span(item) for item in items])
     else:
         def render(path, result):
-            _, matches, trailer = result
+            _, items, trailer = result
             return "".join(_encode_json(r) + "\n"
-                           for r in [*(record(path, m) for m in matches), *trailer])
+                           for r in [*(record(path, item) for item in items), *trailer])
     return render
 
 
@@ -226,23 +226,23 @@ def cmd_dates(args):
     return _run_documents(args, analyse, _render_matches(args, _date_record, _date_span))
 
 
-def _geo_record(path, m, index):
+def _geo_record(path, pair):
+    m, place = pair
     record = {"type": "geo", "path": path, "offset": m.offset, "length": m.length,
               "surface": m.surface}
-    if isinstance(m.resolved, str):
-        record["country"] = m.resolved
+    if isinstance(place, str):
+        record["country"] = place
     else:
-        rec = index.records[m.resolved]
-        record.update(place_id=rec.id, country=rec.country, lat=rec.latitude,
-                      lon=rec.longitude, size_class=rec.size_class)
+        record.update(place_id=place.id, country=place.country, lat=place.latitude,
+                      lon=place.longitude, size_class=place.size_class)
     return record
 
 
-def _geo_span(m, index):
-    if isinstance(m.resolved, str):
-        return m.offset, m.length, "country", m.resolved
-    rec = index.records[m.resolved]
-    return m.offset, m.length, "place", "%s:%d" % (rec.country, rec.id)
+def _geo_span(pair):
+    m, place = pair
+    if isinstance(place, str):
+        return m.offset, m.length, "country", place
+    return m.offset, m.length, "place", "%s:%d" % (place.country, place.id)
 
 
 def _parse_size_filter(spec):
@@ -273,15 +273,13 @@ def cmd_places(args):
         text = decode(raw)
         matches = geotag.tag_places(text, table, stop_list)
         resolved = geotag.disambiguate(matches, index)
-        tallies = geotag.aggregate_by_country(resolved, index)
-        return text, resolved, [
+        tallies = geotag.aggregate_by_country(resolved)
+        return text, zip(matches, resolved), [
             {"type": "tallies", "path": path,
              "tallies": [{"country": t.country, "hits": t.hits,
                           "percentage": t.percentage} for t in tallies]}]
 
-    return _run_documents(args, analyse, _render_matches(
-        args, functools.partial(_geo_record, index=index),
-        functools.partial(_geo_span, index=index)))
+    return _run_documents(args, analyse, _render_matches(args, _geo_record, _geo_span))
 
 
 def _place_dot(record):

@@ -40,8 +40,8 @@ class ContractError(PlacetimeError):
 
 
 def check_country(code):
-    """Raise ValueError unless ``code`` is a country code: two upper-case letters."""
-    if len(code) != 2 or not code.isalpha() or not code.isupper():
+    """Raise ValueError unless ``code`` is a country code: two ASCII upper-case letters."""
+    if len(code) != 2 or not code.isascii() or not code.isalpha() or not code.isupper():
         raise ValueError("bad country code %r" % (code,))
 
 

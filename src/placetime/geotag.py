@@ -8,13 +8,15 @@ place needs a token whose first cased character is upper-case; a trigger
 needs no capital.  A trigger counts as a hit for its country and bypasses
 disambiguation.  Homograph places are resolved by importance (size class 1
 beats 4) unless another candidate's country has strictly more unambiguous
-references in the document.
+references in the document.  :func:`disambiguate` returns one resolution
+per match: the winning :class:`~placetime.gazetteer.PlaceRecord`, or a
+trigger's country code.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gazetteer import CountryTrigger, GazetteerIndex, GeoStopList, tokenize
 
@@ -26,7 +28,6 @@ class GeoMatch:
     surface: str
     candidates: tuple = ()
     trigger: CountryTrigger | None = None
-    resolved: object = None  # place id (int) or country code (str)
 
     def __post_init__(self):
         if not self.candidates and self.trigger is None:
@@ -84,7 +85,8 @@ def unambiguous_tallies(matches, index: GazetteerIndex) -> Counter:
 
 
 def disambiguate(matches, index: GazetteerIndex):
-    """Resolve every match; returns a new list.
+    """One resolution per match, in order: its winning place record, or its
+    trigger's country code.
 
     The candidate of highest importance (lowest size class) wins by
     default; a candidate whose country has strictly more unambiguous
@@ -96,7 +98,7 @@ def disambiguate(matches, index: GazetteerIndex):
     resolved = []
     for m in matches:
         if m.trigger is not None:
-            resolved.append(replace(m, resolved=m.trigger.country))
+            resolved.append(m.trigger.country)
             continue
         cands = [index.records[i] for i in m.candidates]
         best = min(cands, key=lambda r: (r.size_class, -refs[r.country], r.country, r.id))
@@ -104,20 +106,13 @@ def disambiguate(matches, index: GazetteerIndex):
         if challengers:
             best = min(challengers,
                        key=lambda r: (-refs[r.country], r.size_class, r.country, r.id))
-        resolved.append(replace(m, resolved=best.id))
+        resolved.append(best)
     return resolved
 
 
-def aggregate_by_country(matches, index: GazetteerIndex):
-    """Hit counts and percentages per country over resolved matches."""
-    counts = Counter()
-    for m in matches:
-        if m.resolved is None:
-            raise ValueError("aggregate_by_country needs resolved matches")
-        if isinstance(m.resolved, str):
-            counts[m.resolved] += 1
-        else:
-            counts[index.records[m.resolved].country] += 1
+def aggregate_by_country(resolved):
+    """Hit counts and percentages per country over :func:`disambiguate`'s resolutions."""
+    counts = Counter(r if isinstance(r, str) else r.country for r in resolved)
     total = sum(counts.values())
     tallies = [CountryTally(country=c, hits=n, percentage=100.0 * n / total)
                for c, n in counts.items()]

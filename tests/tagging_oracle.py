@@ -1,5 +1,6 @@
 """The per-token place tagger that ``gazetteer.name_table`` and ``geotag.tag_places``
-replaced, kept as the reference the tests compare them against.
+replaced, and the place-id disambiguator that ``geotag.disambiguate`` replaced,
+kept as the references the tests compare them against.
 
 Here a token is one object, punctuation is stripped one character at a time,
 and every token position asks a place index (upper-case-initial tokens only)
@@ -8,7 +9,7 @@ and a trigger index separately; the longer match wins, a place on a tie.
 
 import re
 import unicodedata
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from placetime.geotag import GeoMatch
 
@@ -88,3 +89,33 @@ def tag_places(text, index, stop_words=frozenset(), triggers=None):
                                     surface=text[start:end], **fields))
         i += span
     return matches
+
+
+def disambiguate(matches, index):
+    """Per match, the winning place id, or a trigger's country code.
+
+    The candidate of highest importance (lowest size class) wins by
+    default; a candidate whose country has strictly more unambiguous
+    references in the document overrides it.  Ties break by reference
+    count, then lexicographic country code.  Triggers resolve directly to
+    their country.
+    """
+    refs = Counter()
+    for m in matches:
+        if m.trigger is not None:
+            refs[m.trigger.country] += 1
+        elif len(m.candidates) == 1:
+            refs[index.records[m.candidates[0]].country] += 1
+    resolved = []
+    for m in matches:
+        if m.trigger is not None:
+            resolved.append(m.trigger.country)
+            continue
+        cands = [index.records[i] for i in m.candidates]
+        best = min(cands, key=lambda r: (r.size_class, -refs[r.country], r.country, r.id))
+        challengers = [r for r in cands if refs[r.country] > refs[best.country]]
+        if challengers:
+            best = min(challengers,
+                       key=lambda r: (-refs[r.country], r.size_class, r.country, r.id))
+        resolved.append(best.id)
+    return resolved

@@ -38,7 +38,9 @@ def criterion(number, name):
 
 
 def resolve_places(text, index, stop_list=None, triggers=None):
-    return disambiguate(tag_places(text, name_table(index, triggers), stop_list), index)
+    """(match, resolution) pairs: the resolution is a place record or a country code."""
+    matches = tag_places(text, name_table(index, triggers), stop_list)
+    return list(zip(matches, disambiguate(matches, index)))
 
 
 # -- 1 ---------------------------------------------------------------------
@@ -111,10 +113,10 @@ def test_criterion_3_homograph_flip(tmp_path):
                         "4\tIași\tIasi\tRO\t47.2\t27.6\t2\n")
         index = gazetteer.load_gazetteer(path)
         out = resolve_places("A visit to Roma.", index)
-        assert index.records[out[0].resolved].country == "IT"
+        assert out[0][1].country == "IT"
         out = resolve_places("București and Iași sent envoys to Roma.", index)
-        roma = [m for m in out if m.surface == "Roma"][0]
-        assert index.records[roma.resolved].country == "RO"
+        roma = [place for m, place in out if m.surface == "Roma"][0]
+        assert roma.country == "RO"
 
 
 # -- 4 ---------------------------------------------------------------------
@@ -189,9 +191,8 @@ def test_criterion_7_corpus_quality(corpus_dir, gaz_index, stop_list_en,
         for doc in docs:
             text = doc.read_text(encoding="utf-8")
             gold = json.loads(doc.with_suffix(".json").read_text(encoding="utf-8"))
-            for m in resolve_places(text, gaz_index, stop_list_en, trigger_index):
-                country = (m.resolved if isinstance(m.resolved, str)
-                           else gaz_index.records[m.resolved].country)
+            for m, place in resolve_places(text, gaz_index, stop_list_en, trigger_index):
+                country = place if isinstance(place, str) else place.country
                 pred_places.append((doc.name, m.surface, country))
             gold_places += [(doc.name, g["surface"], g["country"])
                             for g in gold["places"]]
@@ -296,11 +297,9 @@ def test_criterion_8_property_suites(gaz_index, lexicon_en, data_dir):
         # SVG determinism + color monotonicity
         outline = mapviz.load_outline(data_dir / "outline" / "world_outline.tsv")
         out = resolve_places("Paris, Paris, Paris, Berlin and London.", gaz_index)
-        tallies = aggregate_by_country(out, gaz_index)
-        dots = [mapviz.PlaceDot(m.resolved, gaz_index.records[m.resolved].latitude,
-                                gaz_index.records[m.resolved].longitude,
-                                gaz_index.records[m.resolved].country, 1)
-                for m in out]
+        tallies = aggregate_by_country([place for _, place in out])
+        dots = [mapviz.PlaceDot(place.id, place.latitude, place.longitude, place.country, 1)
+                for _, place in out]
         svg1 = mapviz.render_svg(tallies, dots, outline)
         svg2 = mapviz.render_svg(tallies, dots, outline)
         assert svg1 == svg2

@@ -343,6 +343,18 @@ class TestPlaces:
                              "--triggers", "t.tsv")
         assert (code, out, err) == (2, "", "placetime: t.tsv:1: bad country code 'france'\n")
 
+    @pytest.mark.parametrize("flag, line", [
+        ("--gazetteer", "1\tParis\t\t\u00c9\u00c9\t48.9\t2.4\t1\n"),
+        ("--triggers", "x\t\u00c9\u00c9\tcurrency\n")], ids=["gazetteer", "triggers"])
+    def test_non_ascii_country_exit_2(self, capsys, tmp_path, monkeypatch, flag, line):
+        (tmp_path / "doc.txt").write_text("Paris")
+        (tmp_path / "bad.tsv").write_text(line, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        # a second --gazetteer replaces the first
+        code, out, err = run(capsys, "places", "doc.txt", "--gazetteer", GAZ, flag, "bad.tsv")
+        assert (code, out, err) == (
+            2, "", "placetime: bad.tsv:1: bad country code '\u00c9\u00c9'\n")
+
     def test_lowercase_text_no_matches(self, capsys, tmp_path):
         doc = tmp_path / "doc.txt"
         doc.write_text("a trip through paris and london and roma")
@@ -377,7 +389,7 @@ class TestPlaces:
             assert code == 0
             assert [r["surface"] for r in records(out) if r["type"] == "geo"] == surfaces
 
-    @pytest.mark.parametrize("spec", ["1:fr", "1:FR,A1", "1:FRA", "x:FR"])
+    @pytest.mark.parametrize("spec", ["1:fr", "1:FR,A1", "1:FRA", "x:FR", "1:\u00c9\u00c9"])
     def test_bad_size_filter_exit_2(self, capsys, tmp_path, spec):
         doc = tmp_path / "doc.txt"
         doc.write_text("Paris and Compiègne")
@@ -617,6 +629,14 @@ class TestMap:
                              "--out", str(svg_path))
         assert (code, out, err) == (2, "", "placetime: %s:2: bad country code 'A1'\n" % outline)
         assert not svg_path.exists()
+
+    def test_non_ascii_outline_country_exit_2(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "ann.jsonl").write_text(self.GOOD + "\n")
+        (tmp_path / "o.tsv").write_text("\u00c9\u00c9\t0\t0,0 1,0 1,1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "map", "ann.jsonl", "--outline", "o.tsv", "--out", "map.svg")
+        assert (code, out, err) == (2, "", "placetime: o.tsv:1: bad country code '\u00c9\u00c9'\n")
+        assert not (tmp_path / "map.svg").exists()
 
     def test_empty_annotations_exit_2(self, capsys, tmp_path):
         ann = tmp_path / "empty.jsonl"

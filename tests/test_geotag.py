@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from placetime import geotag
@@ -12,18 +12,18 @@ import tagging_oracle
 
 
 def resolve(text, gaz_index, stop_list=None, triggers=None):
+    """(match, resolution) pairs: the resolution is a place record or a country code."""
     matches = tag_places(text, name_table(gaz_index, triggers), stop_list)
-    return disambiguate(matches, gaz_index)
+    return list(zip(matches, disambiguate(matches, gaz_index)))
+
+
+def resolutions(text, gaz_index, **kw):
+    return [place for _, place in resolve(text, gaz_index, **kw)]
 
 
 def resolved_countries(text, gaz_index, **kw):
-    out = []
-    for m in resolve(text, gaz_index, **kw):
-        if isinstance(m.resolved, str):
-            out.append((m.surface, m.resolved))
-        else:
-            out.append((m.surface, gaz_index.records[m.resolved].country))
-    return out
+    return [(m.surface, place if isinstance(place, str) else place.country)
+            for m, place in resolve(text, gaz_index, **kw)]
 
 
 class TestTagPlaces:
@@ -80,8 +80,7 @@ class TestDisambiguate:
         assert ("Roma", "RO") in out
 
     def test_paris_defaults_to_france(self, gaz_index):
-        out = resolve("Paris", gaz_index)
-        rec = gaz_index.records[out[0].resolved]
+        [(_, rec)] = resolve("Paris", gaz_index)
         assert rec.country == "FR" and rec.size_class == 1
 
     def test_trigger_beats_importance(self, gaz_index, trigger_index):
@@ -91,7 +90,7 @@ class TestDisambiguate:
         refs = unambiguous_tallies(matches, gaz_index)
         assert refs["IQ"] == 2
         out = disambiguate(matches, gaz_index)
-        assert out[0].resolved == "IQ"
+        assert out[0] == "IQ"
 
     def test_reference_counts_exclude_ambiguous(self, gaz_index):
         matches = tag_places("Paris and London and Paris", name_table(gaz_index))
@@ -108,31 +107,30 @@ class TestDisambiguate:
 
     def test_all_matches_resolved(self, gaz_index, trigger_index):
         text = "Paris, Roma, Split, forint, Stara Zagora."
-        out = resolve(text, gaz_index, triggers=trigger_index)
-        assert all(m.resolved is not None for m in out)
+        matches = tag_places(text, name_table(gaz_index, trigger_index))
+        out = disambiguate(matches, gaz_index)
+        assert len(out) == len(matches) == 5
+        for m, place in zip(matches, out):
+            if m.trigger is not None:
+                assert place == m.trigger.country
+            else:
+                assert place.id in m.candidates
 
 
 class TestAggregate:
     def test_percentages_sum_to_100(self, gaz_index):
-        out = resolve("London, Berlin, Paris, London.", gaz_index)
-        tallies = aggregate_by_country(out, gaz_index)
+        tallies = aggregate_by_country(resolutions("London, Berlin, Paris, London.", gaz_index))
         assert sum(t.percentage for t in tallies) == pytest.approx(100.0)
 
     def test_counts_and_order(self, gaz_index):
-        out = resolve("London, Berlin, Paris, London.", gaz_index)
-        tallies = aggregate_by_country(out, gaz_index)
+        tallies = aggregate_by_country(resolutions("London, Berlin, Paris, London.", gaz_index))
         assert [(t.country, t.hits) for t in tallies] == [
             ("GB", 2), ("DE", 1), ("FR", 1)]
         assert tallies[0].percentage == pytest.approx(50.0)
 
-    def test_unresolved_rejected(self, gaz_index):
-        matches = tag_places("Paris", name_table(gaz_index))
-        with pytest.raises(ValueError):
-            aggregate_by_country(matches, gaz_index)
-
     def test_triggers_count(self, gaz_index, trigger_index):
-        out = resolve("Iraqi claims about Baghdad", gaz_index, triggers=trigger_index)
-        tallies = aggregate_by_country(out, gaz_index)
+        tallies = aggregate_by_country(
+            resolutions("Iraqi claims about Baghdad", gaz_index, triggers=trigger_index))
         assert tallies == [geotag.CountryTally("IQ", 2, 100.0)]
 
 
@@ -192,3 +190,42 @@ def test_table_tagging_equals_oracle_on_shipped_data(data, gaz_index, stop_list_
     text = data.draw(_joined(words, _SEPARATORS))
     assert (tag_places(text, name_table(gaz_index, trigger_index), stop_list_en)
             == tagging_oracle.tag_places(text, gaz_index, stop_list_en.words, trigger_index))
+
+
+# -- disambiguation against the place-id oracle ------------------------------
+
+# Few names shared by places of several countries and size classes, and
+# triggers for the same countries, so that homographs, unambiguous references
+# and challengers all occur.  A place may come twice, with two ids, so that
+# only the id breaks the tie.
+_HOMOGRAPHS = ("Roma", "Paris", "Nice")
+_TRIGGER_WORDS = ("forint", "leu")
+_COUNTRIES = ("FR", "RO", "IT")
+_HOMOGRAPH_PLACES = st.lists(
+    st.tuples(st.sampled_from(_HOMOGRAPHS), st.sampled_from(_COUNTRIES), st.integers(1, 3)),
+    min_size=1, max_size=10).flatmap(lambda ps: st.permutations(ps + ps[:len(ps) // 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(places=_HOMOGRAPH_PLACES,
+       triggers=st.lists(st.tuples(st.sampled_from(_TRIGGER_WORDS), st.sampled_from(_COUNTRIES)),
+                         min_size=1, max_size=4),
+       words=st.lists(st.sampled_from(_HOMOGRAPHS + _TRIGGER_WORDS), min_size=1, max_size=30))
+# RO and IT challenge FR's capitals with one reference each: for Roma the lower
+# size class wins, then the lower id; for Nice the lower country code.  Paris
+# has no challenger and two equal records.
+@example(places=[("Roma", "FR", 1), ("Roma", "RO", 3), ("Roma", "IT", 2), ("Roma", "IT", 2),
+                 ("Nice", "FR", 1), ("Nice", "RO", 2), ("Nice", "IT", 2),
+                 ("Paris", "FR", 1), ("Paris", "FR", 1)],
+         triggers=[("leu", "RO"), ("forint", "IT")],
+         words=["leu", "forint", "Roma", "Nice", "Paris"])
+def test_disambiguation_equals_oracle(places, triggers, words):
+    index = GazetteerIndex([PlaceRecord(i, name, (), country, 0.0, 0.0, size_class)
+                            for i, (name, country, size_class) in enumerate(places)])
+    trigger_index = TriggerIndex(CountryTrigger(surface, country, "currency")
+                                 for surface, country in triggers)
+    matches = tag_places(" ".join(words), name_table(index, trigger_index))
+    got = disambiguate(matches, index)
+    assert len(got) == len(matches)
+    for m, place, want in zip(matches, got, tagging_oracle.disambiguate(matches, index)):
+        assert (place if isinstance(place, str) else place.id) == want, m

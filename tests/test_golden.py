@@ -52,7 +52,7 @@ def run_case(name, svg_path):
                PYTHONPATH=str(Path(placetime.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "placetime.cli",
-         *(a.format(svg=svg_path) for a in argv)],
+         *(str(svg_path) if a == "{svg}" else a for a in argv)],
         cwd=cwd, env=env, capture_output=True, timeout=120)
     return proc.stdout, proc.stderr, proc.returncode
 
