@@ -143,10 +143,10 @@ def _run_documents(args, analyse, render):
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _render_matches(args, record, span):
+def _render_matches(args, lines, span):
     """``render`` of (text, items, trailer): the text with each ``span(item)`` marked, or
-    ``record(path, item)`` per item and then the trailer as JSON Lines.  An item is a
-    date match, or a place match paired with its resolution."""
+    the JSON Lines ``lines(path, items)`` and then the trailer's.  An item is a date
+    match, or a place match paired with its resolution."""
     if args.format == "inline":
         def render(path, result):
             text, items, _ = result
@@ -154,8 +154,7 @@ def _render_matches(args, record, span):
     else:
         def render(path, result):
             _, items, trailer = result
-            return "".join(_encode_json(r) + "\n"
-                           for r in [*(record(path, item) for item in items), *trailer])
+            return "".join([*lines(path, items), *(_encode_json(r) + "\n" for r in trailer)])
     return render
 
 
@@ -223,19 +222,38 @@ def cmd_dates(args):
                   % (path, offset, surface, reason), file=sys.stderr)
         return text, matches, ()
 
-    return _run_documents(args, analyse, _render_matches(args, _date_record, _date_span))
+    return _run_documents(args, analyse, _render_matches(
+        args, lambda path, items: (_encode_json(_date_record(path, m)) + "\n" for m in items),
+        _date_span))
 
 
-def _geo_record(path, pair):
-    m, place = pair
-    record = {"type": "geo", "path": path, "offset": m.offset, "length": m.length,
-              "surface": m.surface}
-    if isinstance(place, str):
-        record["country"] = place
-    else:
-        record.update(place_id=place.id, country=place.country, lat=place.latitude,
-                      lon=place.longitude, size_class=place.size_class)
-    return record
+def _geo_lines():
+    """``lines(path, pairs)``: the ``geo`` record of each (place match, resolution) pair.
+
+    A record's fields after ``surface`` depend only on the resolution, so each
+    resolution's tail is encoded once per ``_geo_lines()``, keyed by place id or
+    country code, and the head up to ``offset`` once per call.
+    """
+    tails = {}
+
+    def tail(place):
+        fields = ({"country": place} if isinstance(place, str) else
+                  {"place_id": place.id, "country": place.country, "lat": place.latitude,
+                   "lon": place.longitude, "size_class": place.size_class})
+        return ", " + _encode_json(fields)[1:] + "\n"
+
+    def lines(path, pairs):
+        head = _encode_json({"type": "geo", "path": path})[:-1] + ', "offset": '
+        out = []
+        for m, place in pairs:
+            key = place if isinstance(place, str) else place.id
+            rest = tails.get(key)
+            if rest is None:
+                rest = tails[key] = tail(place)
+            out.append('%s%d, "length": %d, "surface": %s%s'
+                       % (head, m.offset, m.length, _encode_json(m.surface), rest))
+        return out
+    return lines
 
 
 def _geo_span(pair):
@@ -279,7 +297,7 @@ def cmd_places(args):
              "tallies": [{"country": t.country, "hits": t.hits,
                           "percentage": t.percentage} for t in tallies]}]
 
-    return _run_documents(args, analyse, _render_matches(args, _geo_record, _geo_span))
+    return _run_documents(args, analyse, _render_matches(args, _geo_lines(), _geo_span))
 
 
 def _place_dot(record):

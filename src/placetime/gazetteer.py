@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .errors import LoadError, check_country, read_lines, tsv_records
 
@@ -32,6 +33,47 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+_ASCII_PUNCT = "".join(ch for ch in map(chr, range(128)) if _is_punct(ch))
+_ASCII_BYTES = bytes(range(128))
+
+
+def split_words(text: str):
+    """The words of ``text`` and their tokens: two parallel lists.
+
+    A word is a run of non-whitespace (``str.split``); its token is the word
+    stripped of leading and trailing punctuation (Unicode category P).  Words
+    that are all punctuation have no token and are left out.
+    """
+    punct = _ASCII_PUNCT
+    if not text.isascii():
+        # Without its ASCII bytes, the UTF-8 form still holds every other character whole.
+        other = text.encode("utf-8", "surrogatepass").translate(None, _ASCII_BYTES)
+        punct += "".join(filter(_is_punct, set(other.decode("utf-8", "surrogatepass"))))
+    words = text.split()
+    keys = list(map(str.strip, words, repeat(punct)))
+    if "" in keys:
+        words = list(compress(words, keys))
+        keys = list(filter(None, keys))
+    return words, keys
+
+
+def locate(text: str, word: str, key: str, cursor: int):
+    """Where the next copy of ``word`` stands as a whole word at or after ``cursor``:
+    the start and end of its token ``key``, and the end of the word.
+
+    Between ``cursor`` and the word asked for, ``text`` must hold no other word
+    equal to it; then the first copy with whitespace or the text's edge on both
+    sides is that word.
+    """
+    find, n = text.find, len(word)
+    start = find(word, cursor)
+    while ((start and not text[start - 1].isspace())
+           or (start + n < len(text) and not text[start + n].isspace())):
+        start = find(word, start + 1)
+    s = start if key is word else start + word.find(key)  # only punctuation precedes key
+    return s, s + len(key), start + n
+
+
 def tokenize(text: str) -> Tokens:
     """Split on whitespace and strip leading/trailing punctuation.
 
@@ -39,26 +81,14 @@ def tokenize(text: str) -> Tokens:
     the three tokens "Nord-Pas", "de", "Calais").  Offsets address the
     stripped core in the original text.
     """
-    tokens = Tokens([], [], [])
-    texts, starts, ends = tokens.texts, tokens.starts, tokens.ends
-    end = 0
-    for word in text.split():
-        start = text.find(word, end)
-        end = start + len(word)
-        s, e = start, end
-        # An alphanumeric character is never punctuation, so most words need no lookup.
-        if not (word[0].isalnum() and word[-1].isalnum()):
-            while s < e and _is_punct(text[s]):
-                s += 1
-            while e > s and _is_punct(text[e - 1]):
-                e -= 1
-            if s == e:
-                continue
-            word = text[s:e]
-        texts.append(word)
+    words, keys = split_words(text)
+    starts, ends = [], []
+    cursor = 0
+    for word, key in zip(words, keys):
+        s, e, cursor = locate(text, word, key, cursor)
         starts.append(s)
         ends.append(e)
-    return tokens
+    return Tokens(keys, starts, ends)
 
 
 @dataclass(frozen=True)
@@ -82,8 +112,6 @@ class CountryTrigger:
     kind: str
 
     def __post_init__(self):
-        if not tokenize(self.surface):
-            raise ValueError("unindexable trigger surface %r" % (self.surface,))
         if self.kind not in TRIGGER_KINDS:
             raise ValueError("unknown trigger kind %r" % (self.kind,))
         check_country(self.country)
@@ -111,19 +139,15 @@ class GazetteerIndex:
 
     def __init__(self, records, where=None):
         records = list(records)
-
-        def located(i, message):
-            return message if where is None else "%s: %s" % (where(i), message)
-
         self.records = {}
         for i, rec in enumerate(records):
             if rec.id in self.records:
-                raise LoadError(located(i, "duplicate place id %d" % rec.id))
+                raise LoadError(_located(where, i, "duplicate place id %d" % rec.id))
             self.records[rec.id] = rec
         self._first = _first_token_index(
             ((surface, i) for i, rec in enumerate(records) for surface in rec.surfaces()),
-            lambda surface, i: located(
-                i, "unindexable surface %r for id %d" % (surface, records[i].id)),
+            lambda surface, i: _located(
+                where, i, "unindexable surface %r for id %d" % (surface, records[i].id)),
             lambda key, positions: (key, tuple(sorted({records[i].id for i in positions})), None))
 
     def match_at(self, tokens, position):
@@ -137,17 +161,21 @@ class GazetteerIndex:
 
 
 class TriggerIndex:
-    """Country triggers indexed the same way as gazetteer names."""
+    """Country triggers indexed the same way as gazetteer names; ``where`` as there."""
 
-    def __init__(self, triggers):
-        self.triggers = tuple(triggers)
+    def __init__(self, triggers, where=None):
+        self.triggers = triggers = tuple(triggers)
         self._first = _first_token_index(
-            ((trig.surface, trig) for trig in self.triggers),
-            lambda surface, trig: "unindexable trigger surface %r" % (surface,),
-            lambda key, trigs: (key, (), trigs[0]))
+            ((trig.surface, i) for i, trig in enumerate(triggers)),
+            lambda surface, i: _located(where, i, "unindexable trigger surface %r" % (surface,)),
+            lambda key, positions: (key, (), triggers[positions[0]]))
 
     def match_at(self, tokens, position):
         return _match_token_index(self._first, tokens, position)
+
+
+def _located(where, i, message):
+    return message if where is None else "%s: %s" % (where(i), message)
 
 
 def _first_token_index(named, unindexable, entry):
@@ -253,13 +281,14 @@ def load_stop_words(path, language: str) -> GeoStopList:
 
 def load_triggers(path) -> TriggerIndex:
     """TSV ``surface<TAB>country<TAB>kind`` with ``#`` comments."""
-    triggers = []
+    triggers, lines = [], []
     for lineno, (surface, country, kind) in tsv_records(path, "trigger file", 3):
         try:
             triggers.append(CountryTrigger(surface, country, kind))
         except ValueError as exc:
             raise LoadError("%s:%d: %s" % (path, lineno, exc)) from exc
-    return TriggerIndex(triggers)
+        lines.append(lineno)
+    return TriggerIndex(triggers, lambda i: "%s:%d" % (path, lines[i]))
 
 
 def propose_stop_words(index: GazetteerIndex, frequency_list, top_n: int):

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
 
-from .gazetteer import CountryTrigger, GazetteerIndex, GeoStopList, tokenize
+from .gazetteer import CountryTrigger, GazetteerIndex, GeoStopList, locate, split_words
+from .gazetteer import tokenize  # noqa: F401  (perfbench wraps ``geotag.tokenize`` by name)
 
 
 @dataclass(frozen=True)
@@ -53,18 +55,21 @@ def tag_places(text, table, stop_list: GeoStopList | None = None):
     surfaces found in the stop list are dropped.  Candidates are left unresolved.
     """
     stop_words = stop_list.words if stop_list is not None else frozenset()
-    tokens = tokenize(text)
-    texts, starts, ends = tokens.texts, tokens.starts, tokens.ends
+    words, keys = split_words(text)
     matches = []
     free = 0  # the first token not inside an earlier match
-    for i, entries in enumerate(map(table.get, texts)):
-        if entries is None or i < free:
+    cursor = 0  # the end of the last word located: hits are searched for from here
+    for i in compress(count(), map(table.get, keys)):  # the tokens that start an entry
+        if i < free:
             continue
-        for key, candidates, trigger in entries:
+        start, end, cursor = locate(text, words[i], keys[i], cursor)
+        for key, candidates, trigger in table[keys[i]]:
             span = len(key)
-            if span > 1 and texts[i:i + span] != key:
-                continue
-            start, end = starts[i], ends[i + span - 1]
+            if span > 1:
+                if keys[i:i + span] != key:
+                    continue
+                for j in range(i + 1, i + span):
+                    _, end, cursor = locate(text, words[j], keys[j], cursor)
             surface = text[start:end]
             if surface not in stop_words:
                 matches.append(GeoMatch(start, end - start, surface, candidates, trigger))
@@ -100,8 +105,11 @@ def disambiguate(matches, index: GazetteerIndex):
         if m.trigger is not None:
             resolved.append(m.trigger.country)
             continue
+        if len(m.candidates) == 1:
+            resolved.append(index.records[m.candidates[0]])
+            continue
         cands = [index.records[i] for i in m.candidates]
-        best = min(cands, key=lambda r: (r.size_class, -refs[r.country], r.country, r.id))
+        best = min(cands, key=lambda r: (r.size_class, r.country, r.id))
         challengers = [r for r in cands if refs[r.country] > refs[best.country]]
         if challengers:
             best = min(challengers,

@@ -208,6 +208,20 @@ class TestTriggers:
         with pytest.raises(LoadError, match=r"t\.tsv:1: unindexable trigger surface '\.\.\.'"):
             gazetteer.load_triggers(path)
 
+    def test_unindexable_surface_names_its_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("# triggers\neuro\tFR\tcurrency\n\n(-)\tFR\tcurrency\n")
+        with pytest.raises(LoadError, match=r"t\.tsv:4: unindexable trigger surface '\(-\)'$"):
+            gazetteer.load_triggers(path)
+
+    def test_each_surface_tokenized_once(self, data_dir, monkeypatch):
+        surfaces = []
+        tokenize = gazetteer.tokenize
+        monkeypatch.setattr(gazetteer, "tokenize",
+                            lambda text: surfaces.append(text) or tokenize(text))
+        triggers = gazetteer.load_triggers(data_dir / "triggers" / "triggers.tsv")
+        assert sorted(surfaces) == sorted(t.surface for t in triggers.triggers)
+
     @pytest.mark.parametrize("country", ["france", "fr", "F", "F1", ""])
     def test_bad_country(self, tmp_path, country):
         path = tmp_path / "t.tsv"

@@ -137,10 +137,14 @@ class TestAggregate:
 # -- the first-token table against the per-token oracle ----------------------
 
 # Few words in several cases, so that places, triggers, stop words and text
-# share first tokens and keys of every length.
+# share first tokens and keys of every length.  Some hold a name inside a longer
+# word or wrapped in non-ASCII punctuation, so that a name's characters also
+# occur where no token of that name stands.
 _WORDS = ("Nord", "nord", "NORD", "Pas", "de", "Calais", "Congo", "congo", "River", "New",
-          "St.", "\u00c9ire", "\u00e9ire", "\u01c5x", "42", "4th", "Ab-Cd", "'s", "(Paris)")
-_SEPARATORS = (" ", " ", " ", "\t", "\n", "\x85", "\u2028", "\u3000", ", ", ". ", " \u2014 ")
+          "St.", "\u00c9ire", "\u00e9ire", "\u01c5x", "42", "4th", "Ab-Cd", "'s", "(Paris)",
+          "xNord", "Calaisx", "Nord-Nord", "\u00abCalais\u00bb", "\U0001e95eNord")
+_SEPARATORS = (" ", " ", " ", "\t", "\n", "\x85", "\u2028", "\u3000", ", ", ". ", " \u2014 ",
+               "  ", "\n\n", " \u3000 ")
 
 
 def _joined(words, separators):
@@ -167,6 +171,22 @@ def test_table_tagging_equals_oracle(data):
     text = data.draw(_joined(_WORDS, _SEPARATORS) | st.text(max_size=40))
     assert (tag_places(text, name_table(index, triggers), GeoStopList("en", stop_words))
             == tagging_oracle.tag_places(text, index, stop_words, triggers))
+
+
+# Names whose words also stand inside longer words of ``_WORDS`` ("xNord",
+# "Calaisx"), so a tagger that takes the first copy of a name misplaces it.
+_BARE_NAMES = ("Nord", "Calais", "Nord Pas", "Pas de Calais")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_joined(_WORDS, _SEPARATORS))
+@example(text="Pas de Pas de Calais")  # the first "Pas" starts an entry, but no match
+def test_table_tagging_equals_oracle_among_longer_words(text):
+    index = GazetteerIndex([PlaceRecord(i, name, (), "FR", 0.0, 0.0, 1)
+                            for i, name in enumerate(_BARE_NAMES)])
+    triggers = TriggerIndex([CountryTrigger("nord", "FR", "adjective")])
+    assert (tag_places(text, name_table(index, triggers))
+            == tagging_oracle.tag_places(text, index, frozenset(), triggers))
 
 
 def test_table_tagging_equals_oracle_on_fixtures(corpus_dir, gaz_index, stop_list_en,
