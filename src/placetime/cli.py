@@ -186,13 +186,20 @@ def cmd_train_profile(args):
     return 0
 
 
-def _date_record(path, m):
-    record = {"type": "date", "path": path, "offset": m.offset, "length": m.length,
-              "surface": m.surface, "kind": m.normal.kind.value,
-              "normal": m.normal.to_string()}
-    if m.resolved is not None:
-        record["resolved"] = m.resolved.to_string()
-    return record
+def _date_lines(path, matches):
+    """The ``date`` record of each match.
+
+    The head up to ``offset`` is encoded once per call, and only the surface
+    per record: a kind value and a normal form are ASCII with nothing to escape.
+    """
+    head = _encode_json({"type": "date", "path": path})[:-1] + ', "offset": '
+    out = []
+    for offset, length, surface, normal, resolved in matches:
+        out.append('%s%d, "length": %d, "surface": %s, "kind": "%s", "normal": "%s"%s}\n'
+                   % (head, offset, length, _encode_json(surface), normal.kind.value,
+                      normal.to_string(),
+                      "" if resolved is None else ', "resolved": "%s"' % resolved.to_string()))
+    return out
 
 
 def _date_span(m):
@@ -222,9 +229,7 @@ def cmd_dates(args):
                   % (path, offset, surface, reason), file=sys.stderr)
         return text, matches, ()
 
-    return _run_documents(args, analyse, _render_matches(
-        args, lambda path, items: (_encode_json(_date_record(path, m)) + "\n" for m in items),
-        _date_span))
+    return _run_documents(args, analyse, _render_matches(args, _date_lines, _date_span))
 
 
 def _geo_lines():

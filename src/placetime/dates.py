@@ -10,10 +10,11 @@ The pipeline first finds complete numeric dates (``13/02/03``,
 ``31.5.2003``), infers whether the document writes day-month-year or
 month-day-year, then anchors on month names and scans both sides for the
 remaining parts.  The full-text scans keep the regex engine from trying a
-match at every character: the numeric patterns start with a digit (the
-engine skips ahead to the next one), and the month and relative-day
-patterns start with a lookahead for the first characters of the lexicon's
-own surfaces.  Each left-context search is bounded by token count: it
+match at every character: every one starts by consuming a character the
+engine can skip ahead to.  The numeric patterns start with a digit, and
+the month and relative-day alternations are grouped by the first character
+of the lexicon's own surfaces, each group checking the word boundary only
+after that character.  Each left-context search is bounded by token count: it
 looks only as many separator-delimited tokens back from the month as the
 lexicon's longest connector, day surface, year and pre-modifier could
 fill, which finds the same match as a search over the whole prefix.  The
@@ -21,7 +22,8 @@ day, year and pre-modifier searches that end at the month share one such
 window.  Overlaps between candidates are resolved against sorted spans, so
 extraction takes time linear in document length.  Matches carry character
 offset, length and a typed normal form; relative expressions can be
-resolved against a reference date.
+resolved against a reference date.  Candidates and matches are plain
+named tuples; only the normal form validates its fields.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import datetime
 import functools
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError, ContractError, LoadError, PlacetimeError, read_lines
 
@@ -59,6 +62,7 @@ class DateKind(Enum):
         kind = object.__new__(cls)
         kind._value_ = value
         kind.fields = fields
+        kind.present = tuple(name in fields for name in _FIELDS)
         kind.form = form
         kind.values_of = operator.attrgetter(*fields)
         return kind
@@ -73,12 +77,14 @@ class NormalizedDate:
     rel_offset: int | None = None
 
     def __post_init__(self):
-        for name in _FIELDS:
-            have = getattr(self, name) is not None
-            if have != (name in self.kind.fields):
-                raise ValueError("%s: field %s %s for kind %s"
-                                 % (self.kind.value, name,
-                                    "unexpected" if have else "required", self.kind))
+        if (self.year is not None, self.month is not None, self.day is not None,
+                self.rel_offset is not None) != self.kind.present:
+            for name, want in zip(_FIELDS, self.kind.present):
+                have = getattr(self, name) is not None
+                if have != want:
+                    raise ValueError("%s: field %s %s for kind %s"
+                                     % (self.kind.value, name,
+                                        "unexpected" if have else "required", self.kind))
         if self.month is not None and not 1 <= self.month <= 12:
             raise ValueError("month %r outside 1..12" % (self.month,))
         if self.day is not None:
@@ -96,8 +102,7 @@ class NormalizedDate:
         return self.kind.form % self.kind.values_of(self)
 
 
-@dataclass(frozen=True)
-class DateMatch:
+class DateMatch(NamedTuple):
     offset: int
     length: int
     surface: str
@@ -243,8 +248,7 @@ def load_date_lexicon(path) -> DateLexicon:
 # --------------------------------------------------------------------------
 # numeric dates
 
-@dataclass(frozen=True)
-class NumericCandidate:
+class NumericCandidate(NamedTuple):
     offset: int
     length: int
     surface: str
@@ -271,25 +275,23 @@ def find_numeric_dates(text: str):
     candidates = []
     taken = []              # ISO spans, sorted and disjoint
     for m in _RE_NUM_YMD.finditer(text):
-        f1, f2, f3 = m.group(1, 3, 4)
-        candidates.append(NumericCandidate(
-            offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
-            f1=f1, f2=f2, f3=f3, ymd=True,
-            dmy_possible=False, mdy_possible=False))
-        taken.append((m.start(), m.end()))
+        start, end = m.span()
+        surface, f1, f2, f3 = m.group(0, 1, 3, 4)
+        candidates.append(NumericCandidate(start, end - start, surface, f1, f2, f3,
+                                           True, False, False))
+        taken.append((start, end))
     i = 0
     for m in _RE_NUM_GEN.finditer(text):
-        while i < len(taken) and taken[i][1] <= m.start():
+        start, end = m.span()
+        while i < len(taken) and taken[i][1] <= start:
             i += 1
-        if i < len(taken) and taken[i][0] < m.end():
+        if i < len(taken) and taken[i][0] < end:
             continue
-        f1, f2, f3 = m.group(1, 3, 4)
+        surface, f1, f2, f3 = m.group(0, 1, 3, 4)
         a, b = int(f1), int(f2)
-        candidates.append(NumericCandidate(
-            offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
-            f1=f1, f2=f2, f3=f3, ymd=False,
-            dmy_possible=_day_ok(b, a), mdy_possible=_day_ok(a, b)))
-    candidates.sort(key=lambda c: c.offset)
+        candidates.append(NumericCandidate(start, end - start, surface, f1, f2, f3,
+                                           False, _day_ok(b, a), _day_ok(a, b)))
+    candidates.sort(key=_offset)
     return candidates
 
 
@@ -316,8 +318,9 @@ def _expand_year(field: str) -> int:
 # --------------------------------------------------------------------------
 # lexical dates
 
-@dataclass(frozen=True)
-class LexicalCandidate:
+class LexicalCandidate(NamedTuple):
+    """A lexical date; the fields after ``surface`` are its ``NormalizedDate``'s."""
+
     offset: int
     length: int
     surface: str
@@ -333,14 +336,22 @@ def _alt(surfaces):
     return "|".join(re.escape(s) for s in sorted(surfaces, key=len, reverse=True)) or "(?!)"
 
 
-def _first_char(surfaces):
-    """A lookahead for the characters that ``surfaces`` (none empty) start with.
+def _word_pattern(surfaces):
+    """``(surface)`` as a whole word, for surfaces none of which is empty.
 
-    A pattern led by an assertion gets no first-character prefilter from the
-    regex engine, which then tries a whole match at every position; this
-    lookahead rejects most positions with one class test.
+    The longest-first alternation is grouped by first character, and each
+    group checks that no word character precedes the surface only after
+    consuming that character (``(?<!\\w.)``, under ``re.S``).  A pattern led by
+    such consuming branches gets a first-character prefilter from the regex
+    engine, which then skips to the positions that can start a match; one led
+    by an assertion would be tried at every position.
     """
-    return "(?=[%s])" % "".join(sorted({re.escape(s[0]) for s in surfaces}))
+    groups = {}
+    for s in sorted(surfaces, key=len, reverse=True):
+        groups.setdefault(s[0], []).append(re.escape(s[1:]))
+    return re.compile(r"(%s)(?!\w)" % "|".join(
+        r"%s(?<!\w.)(?:%s)" % (re.escape(first), "|".join(rests))
+        for first, rests in groups.items()), re.S)
 
 
 _RE_TOKEN = re.compile(r"[^\s,-]+")
@@ -365,12 +376,10 @@ class _Scanner:
             for s in surfaces:
                 self.day_of[s] = idx
 
-        month_alt = _alt(self.month_of)
         conn = "(?i:%s)" % _alt(lexicon.connectors)
         day_alt = r"(?:%s|\d{1,2})" % _alt(self.day_of)
 
-        self.re_month = re.compile(r"%s(?<!\w)(%s)(?!\w)"
-                                   % (_first_char(self.month_of), month_alt))
+        self.re_month = _word_pattern(self.month_of)
         self.re_day_left = re.compile(
             r"(?<!\w)(?:(%s)[\s,]+)?(%s)(?:[\s,]+(?:%s))?[\s,]+\Z"
             % (conn, day_alt, conn))
@@ -388,12 +397,7 @@ class _Scanner:
             r"[\s,]+(?:(?:%s)[\s,]+)?((?:%s)(?:[\s-]+(?:%s)){0,4})(?!\w)"
             % (conn, numword, numword))
         # re_relday alone scans the whole text, where a never-matching pattern costs ~45 us/KB.
-        if lexicon.relative_days:
-            self.re_relday = re.compile(
-                r"%s(?<!\w)(%s)(?!\w)"
-                % (_first_char(lexicon.relative_days), _alt(lexicon.relative_days)))
-        else:
-            self.re_relday = None
+        self.re_relday = _word_pattern(lexicon.relative_days) if lexicon.relative_days else None
 
         # The most separator-delimited tokens a match of re_day_left,
         # re_year_left or re_premod can hold; a year is one token.
@@ -478,12 +482,14 @@ def find_lexical_dates(text: str, lexicon: DateLexicon):
         if cand is not None:
             candidates.append(cand)
     if sc.re_relday is not None:
+        relative_days = lexicon.relative_days
         for m in sc.re_relday.finditer(text):
-            candidates.append(LexicalCandidate(
-                offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
-                kind=DateKind.RELATIVE_DAY,
-                rel_offset=lexicon.relative_days[m.group(1)]))
-    candidates.sort(key=lambda c: c.offset)
+            start, end = m.span()
+            surface = m.group(0)
+            candidates.append(LexicalCandidate(start, end - start, surface,
+                                               DateKind.RELATIVE_DAY,
+                                               rel_offset=relative_days[surface]))
+    candidates.sort(key=_offset)
     return candidates
 
 
@@ -594,9 +600,6 @@ def _numeric_reading(c, document_order, reject_two_digit_years):
     return DateKind.FULL, _expand_year(c.f3), month, day, None
 
 
-_lexical_reading = operator.attrgetter("kind", "year", "month", "day", "rel_offset")
-
-
 def normalize_match(candidate, document_order: str, reject_two_digit_years: bool = False,
                     diagnostics=None):
     """Turn a finder candidate into a DateMatch; None when discarded.
@@ -606,7 +609,7 @@ def normalize_match(candidate, document_order: str, reject_two_digit_years: bool
     try:
         normal = NormalizedDate(*(
             _numeric_reading(candidate, document_order, reject_two_digit_years)
-            if isinstance(candidate, NumericCandidate) else _lexical_reading(candidate)))
+            if isinstance(candidate, NumericCandidate) else candidate[3:]))
     except ValueError as exc:
         if diagnostics is not None:
             diagnostics.append((candidate.offset, candidate.surface, str(exc)))
@@ -678,7 +681,7 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
         for i, m in enumerate(kept):
             if m.normal.rel_offset is not None:
                 try:
-                    kept[i] = replace(m, resolved=resolve_relative(m.normal, reference))
+                    kept[i] = m._replace(resolved=resolve_relative(m.normal, reference))
                 except PlacetimeError as exc:
                     raise PlacetimeError("%r: %s" % (m.surface, exc)) from exc
     return kept

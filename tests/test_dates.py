@@ -1,5 +1,4 @@
 import calendar
-import dataclasses
 import datetime
 import re
 
@@ -396,10 +395,34 @@ class TestExtractPipeline:
         expected = []
         base = 0
         for p in paragraphs:
-            expected += [dataclasses.replace(m, offset=m.offset + base)
+            expected += [m._replace(offset=m.offset + base)
                          for m in extract_dates(p, lexicon_en)]
             base += len(p) + 2
         assert extract_dates(text, lexicon_en) == expected
+
+
+class TestYearSharedByNeighbours:
+    """A year that ends one date is also read as the year before the next month,
+    and the longer of the two overlapping spans wins (ROADMAP item 3)."""
+
+    @pytest.mark.xfail(strict=True, reason="the year of 3 May 2003 is taken for June 4")
+    def test_full_date_then_month_day(self, lexicon_en):
+        found = [(m.surface, m.normal.to_string())
+                 for m in extract_dates("Signed 3 May 2003, June 4 was next", lexicon_en)]
+        assert ("3 May 2003", "2003-05-03") in found
+        assert ("June 4", "--06-04") in found
+
+    @pytest.mark.xfail(strict=True, reason="the year of May 2003 is taken for May 3")
+    def test_year_month_between_dates(self, lexicon_en):
+        found = [(m.surface, m.normal.to_string())
+                 for m in extract_dates("3 May 2003, May 2003, May 3 and May", lexicon_en)]
+        assert ("May 2003", "2003-05") in found
+
+    def test_year_before_day_and_month_is_one_date(self, lexicon_en):
+        # A fix must keep reading a year before "the 2nd of May" as its year.
+        assert [(m.surface, m.normal.to_string())
+                for m in extract_dates("1999, the 2nd of May", lexicon_en)] == [
+            ("1999, the 2nd of May", "1999-05-02")]
 
 
 # --------------------------------------------------------------------------
@@ -675,6 +698,30 @@ def test_generated_lexicon_scans_equal_lookbehind_led(tmp_path_factory, source, 
         pairs.append((sc.re_relday, dates_oracle.relday_pattern(lexicon)))
     for new, old in pairs:
         assert list(map(_found, new.finditer(text))) == list(map(_found, old.finditer(text)))
+
+
+# The shipped lexicons hold non-ASCII letters that the generated ones seldom
+# do; each surface is also glued to word characters of several scripts.
+_GLUE = ("x", "_", "3", "\u00c9", "\u0663")
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+def test_shipped_lexicon_scans_equal_lookbehind_led(lexicon_name, request, corpus_dir):
+    lexicon = request.getfixturevalue(lexicon_name)
+    sc = lexicon._scanner
+    docs = [p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.txt"))]
+    for new, old, surfaces in (
+            (sc.re_month, dates_oracle.month_pattern(lexicon),
+             [s for forms in lexicon.months.values() for s in forms]),
+            (sc.re_relday, dates_oracle.relday_pattern(lexicon), list(lexicon.relative_days))):
+        glued = [text for s in surfaces for g in _GLUE
+                 for text in (s, g + s, s + g, g + s + g, "%s %s %s" % (g, s, g))]
+        found = 0
+        for text in docs + glued:
+            want = [(m.span(), m.group(1)) for m in old.finditer(text)]
+            assert [(m.span(), m.group(1)) for m in new.finditer(text)] == want, text
+            found += len(want)
+        assert found >= 2 * len(surfaces)  # each bare and spaced surface at least
 
 
 @settings(max_examples=100, deadline=None)

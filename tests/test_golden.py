@@ -45,13 +45,13 @@ CASES = {
 }
 
 
-def run_case(name, svg_path):
+def run_case(name, svg_path, module="placetime.cli"):
     """(stdout bytes, stderr bytes, exit code) of one case, run in a new process."""
     argv, cwd = CASES[name]
     env = dict(os.environ, PYTHONIOENCODING="utf-8",
                PYTHONPATH=str(Path(placetime.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "placetime.cli",
+        [sys.executable, "-m", module,
          *(str(svg_path) if a == "{svg}" else a for a in argv)],
         cwd=cwd, env=env, capture_output=True, timeout=120)
     return proc.stdout, proc.stderr, proc.returncode
@@ -67,6 +67,11 @@ def test_cli_output_is_golden(name, tmp_path):
     assert err == (GOLDEN_DIR / ("%s.stderr" % name)).read_bytes()
     if name == "map":
         assert svg.read_bytes() == (GOLDEN_DIR / "map.svg").read_bytes()
+
+
+def test_package_runs_as_module(tmp_path):
+    out, err, code = run_case("dates-standoff", tmp_path / "map.svg", module="placetime")
+    assert (out, err, code) == ((GOLDEN_DIR / "dates-standoff.stdout").read_bytes(), b"", 0)
 
 
 def write_golden():
