@@ -308,11 +308,17 @@ def cmd_places(args):
 def _place_dot(record):
     """A one-mention dot from a place's ``geo`` record, checked for drawing."""
     pid, lat, lon, country = record["place_id"], record["lat"], record["lon"], record["country"]
-    if not isinstance(pid, int) or not isinstance(country, str):
+    if not isinstance(pid, int) or isinstance(pid, bool) or not isinstance(country, str):
         raise ValueError("bad place_id %r or country %r" % (pid, country))
+    if isinstance(lat, bool) or isinstance(lon, bool):
+        raise ValueError("bad coordinates (%r, %r)" % (lat, lon))
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise ValueError("coordinates (%r, %r) out of range" % (lat, lon))
     return mapviz.PlaceDot(pid, lat, lon, country, 1)
+
+
+# One decoder for every annotation line, kept as _encode_json is.
+_decode_json = json.JSONDecoder().raw_decode
 
 
 def cmd_map(args):
@@ -324,17 +330,26 @@ def cmd_map(args):
     hits = Counter()
     hits_sum = 0.0  # kept small enough that every percentage of it is finite
     dots = {}  # place_id -> the dot of its first record
-    places = []
+    mentions = Counter()  # place_id -> its geo records
     records = 0
     for path in args.annotations:
         for lineno, line in enumerate(read_lines(path, "annotations"), start=1):
-            if not line.strip():
-                continue
             try:
-                record = json.loads(line)
+                # A line that is one JSON value and nothing else is decoded once.  Any
+                # other line (blank, padded, trailing data, not JSON) takes json.loads,
+                # which skips the padding or names the fault.
+                try:
+                    record, end = _decode_json(line)
+                except (ValueError, RecursionError):
+                    end = -1
+                if end != len(line):
+                    if not line.strip():
+                        continue
+                    record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
-                if record.get("type") == "tallies":
+                kind = record.get("type")
+                if kind == "tallies":
                     for t in record["tallies"]:
                         country, n = t["country"], t["hits"]
                         if not isinstance(country, str):
@@ -346,16 +361,18 @@ def cmd_map(args):
                         if not math.isfinite(100.0 * hits_sum):
                             raise ValueError("tallies hits sum %g is too large" % hits_sum)
                         hits[country] += n
-                elif record.get("type") == "geo" and "place_id" in record:
+                elif kind == "geo" and "place_id" in record:
                     # A later record of a place is drawn as the first, once it passes the
-                    # same checks; one equal to the first needs no check of its own.
-                    pid = record["place_id"]
+                    # same checks; one equal to the first needs no check of its own.  A
+                    # boolean equals 0 or 1, so it is checked whatever it equals.
+                    pid, lat, lon = record["place_id"], record["lat"], record["lon"]
                     dot = dots.get(pid)
-                    if (dot is None or dot.latitude != record["lat"]
-                            or dot.longitude != record["lon"] or dot.country != record["country"]):
-                        dot = dots.setdefault(pid, _place_dot(record))
-                    places.append(dot)
-            except json.JSONDecodeError as exc:
+                    if (dot is None or dot.latitude != lat or dot.longitude != lon
+                            or dot.country != record["country"] or pid is True or pid is False
+                            or lat is True or lat is False or lon is True or lon is False):
+                        dots.setdefault(pid, _place_dot(record))
+                    mentions[pid] += 1
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError("%s:%d: not JSON: %s" % (path, lineno, exc)) from exc
             except KeyError as exc:
                 raise ConfigError("%s:%d: missing field %s" % (path, lineno, exc)) from exc
@@ -367,6 +384,8 @@ def cmd_map(args):
     total = sum(hits.values())
     tallies = [geotag.CountryTally(c, n, 100.0 * n / total)
                for c, n in sorted(hits.items())] if total else []
+    places = [mapviz.PlaceDot(d.place_id, d.latitude, d.longitude, d.country, mentions[pid])
+              for pid, d in dots.items()]
     diagnostics = []
     svg = mapviz.render_svg(tallies, places, outline, style, diagnostics)
     for message in diagnostics:

@@ -588,6 +588,15 @@ class TestMap:
                      "missing field 'lat'", id="later-record-no-lat"),
         pytest.param('{"type": "geo", "place_id": 9, "lat": 48.85, "lon": 2.35, "country": 5}',
                      "bad place_id 9 or country 5", id="later-record-country-not-string"),
+        pytest.param("[" * 100_000, "not JSON: maximum recursion depth exceeded",
+                     id="deep-nesting"),
+        pytest.param('{"type": "geo", "place_id": true, "lat": true, "lon": false, '
+                     '"country": "FR"}',
+                     "bad place_id True or country 'FR'", id="place-id-boolean"),
+        pytest.param('{"type": "geo", "place_id": 9, "lat": true, "lon": 2.35, "country": "FR"}',
+                     "bad coordinates (True, 2.35)", id="lat-boolean"),
+        pytest.param('{"type": "geo", "place_id": 31, "lat": 48.85, "lon": false, "country": "FR"}',
+                     "bad coordinates (48.85, False)", id="lon-boolean"),
     ])
     def test_malformed_annotation_exit_2(self, capsys, tmp_path, line, message):
         ann = tmp_path / "ann.jsonl"
@@ -598,6 +607,23 @@ class TestMap:
         assert err.startswith("placetime: %s:2: %s" % (ann, message))
         assert len(err.splitlines()) == 1
         assert not svg_path.exists()
+
+    @pytest.mark.parametrize("later, message", [
+        ('{"type": "geo", "place_id": true, "lat": 1, "lon": 0, "country": "FR"}',
+         "bad place_id True or country 'FR'"),
+        ('{"type": "geo", "place_id": 1, "lat": true, "lon": 0, "country": "FR"}',
+         "bad coordinates (True, 0)"),
+        ('{"type": "geo", "place_id": 1, "lat": 1, "lon": false, "country": "FR"}',
+         "bad coordinates (1, False)"),
+    ])
+    def test_boolean_equal_to_first_record_exit_2(self, capsys, tmp_path, later, message):
+        # true == 1 and false == 0: a later record that equals the first is still
+        # rejected when a field of it is a boolean.
+        ann = tmp_path / "ann.jsonl"
+        ann.write_text('{"type": "geo", "place_id": 1, "lat": 1, "lon": 0, "country": "FR"}\n'
+                       + later + "\n")
+        code, out, err = run(capsys, "map", str(ann), "--out", str(tmp_path / "map.svg"))
+        assert (code, out, err) == (2, "", "placetime: %s:2: %s\n" % (ann, message))
 
     def test_later_records_draw_as_first(self, capsys, tmp_path):
         moved = json.loads(self.GOOD)

@@ -3,8 +3,8 @@
 Each case runs ``python -m placetime.cli`` in a fresh process, from the corpus
 directory with relative document paths, so that the ``path`` fields do not
 depend on where the repository lives.  Its stdout, stderr and exit code must
-equal the files under ``tests/data/golden/``; the ``map`` case also compares
-the SVG it writes.
+equal the files under ``tests/data/golden/``; the ``map`` cases also compare
+the SVG they write.
 
 To regenerate the expected outputs from a given source tree::
 
@@ -34,12 +34,16 @@ _TAGGERS = ["--stopwords", str(DATA_DIR / "stopwords" / "en.txt"),
 _DATES = ["dates", *_DOCS, "--lexicon", str(DATA_DIR / "lexicons" / "en.lex"),
           "--reference", "2003-03-01"]
 
-# name -> (argv, working directory); the map case reads the first places output.
+# name -> (argv, working directory).  The map case reads the first places output;
+# map-fallback reads two annotation files with blank, whitespace-only and padded
+# lines, CR LF line ends and a later record of a place that moves.
 CASES = {
     "places-standoff": ([*_PLACES, *_TAGGERS], CORPUS_DIR),
     "places-inline": ([*_PLACES, *_TAGGERS, "--format", "inline"], CORPUS_DIR),
     "places-size-filter": ([*_PLACES, "--max-size-class-outside", "2:RO,FR"], CORPUS_DIR),
     "map": (["map", "places-standoff.stdout", "--out", "{svg}"], GOLDEN_DIR),
+    "map-fallback": (["map", "map-fallback-a.jsonl", "map-fallback-b.jsonl", "--out", "{svg}"],
+                     GOLDEN_DIR),
     "dates-standoff": (_DATES, CORPUS_DIR),
     "dates-inline": ([*_DATES, "--format", "inline"], CORPUS_DIR),
 }
@@ -65,8 +69,8 @@ def test_cli_output_is_golden(name, tmp_path):
     assert code == codes[name]
     assert out == (GOLDEN_DIR / ("%s.stdout" % name)).read_bytes()
     assert err == (GOLDEN_DIR / ("%s.stderr" % name)).read_bytes()
-    if name == "map":
-        assert svg.read_bytes() == (GOLDEN_DIR / "map.svg").read_bytes()
+    if name.startswith("map"):
+        assert svg.read_bytes() == (GOLDEN_DIR / ("%s.svg" % name)).read_bytes()
 
 
 def test_package_runs_as_module(tmp_path):
@@ -78,7 +82,7 @@ def write_golden():
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     codes = {}
     for name in CASES:  # places-standoff first: the map case reads it
-        out, err, codes[name] = run_case(name, GOLDEN_DIR / "map.svg")
+        out, err, codes[name] = run_case(name, GOLDEN_DIR / ("%s.svg" % name))
         (GOLDEN_DIR / ("%s.stdout" % name)).write_bytes(out)
         (GOLDEN_DIR / ("%s.stderr" % name)).write_bytes(err)
     (GOLDEN_DIR / "codes.json").write_text(json.dumps(codes, indent=1) + "\n",
