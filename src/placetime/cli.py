@@ -118,8 +118,8 @@ def _decoder(args):
     return decode
 
 
-def _run_documents(args, analyse, render):
-    """Per file, in order: write ``render(path, analyse(path, raw))`` to the output.
+def _run_documents(args, analyse):
+    """Per file, in order: write the string ``analyse(path, raw)`` to the output.
 
     A file that cannot be read or analysed is reported and skipped (exit 1).
     """
@@ -134,7 +134,7 @@ def _run_documents(args, analyse, render):
                 print("placetime: %s: %s" % (path, exc), file=sys.stderr)
                 failed = True
                 continue
-            out.write(render(path, result))
+            out.write(result)
     return 1 if failed else 0
 
 
@@ -143,30 +143,17 @@ def _run_documents(args, analyse, render):
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _render_matches(args, lines, span):
-    """``render`` of (text, items, trailer): the text with each ``span(item)`` marked, or
-    the JSON Lines ``lines(path, items)`` and then the trailer's.  An item is a date
-    match, or a place match paired with its resolution."""
-    if args.format == "inline":
-        def render(path, result):
-            text, items, _ = result
-            return annotate.annotate_inline(text, [span(item) for item in items])
-    else:
-        def render(path, result):
-            _, items, trailer = result
-            return "".join([*lines(path, items), *(_encode_json(r) + "\n" for r in trailer)])
-    return render
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 def cmd_identify(args):
     profiles = langid.load_profile_dir(args.profiles)
-    return _run_documents(
-        args, lambda path, raw: langid.identify(profiles, raw)[0],
-        lambda path, best: "%s\t%s\t%s\t%.4f\n"
-        % (path, best.label.language, best.label.encoding, best.score))
+
+    def analyse(path, raw):
+        best = langid.identify(profiles, raw)[0]
+        return "%s\t%s\t%s\t%.4f\n" % (path, best.label.language, best.label.encoding,
+                                       best.score)
+    return _run_documents(args, analyse)
 
 
 def cmd_train_profile(args):
@@ -227,9 +214,11 @@ def cmd_dates(args):
         for offset, surface, reason in diagnostics or ():
             print("placetime: %s:%d: discarded %r (%s)"
                   % (path, offset, surface, reason), file=sys.stderr)
-        return text, matches, ()
+        if args.format == "inline":
+            return annotate.annotate_inline(text, [_date_span(m) for m in matches])
+        return "".join(_date_lines(path, matches))
 
-    return _run_documents(args, analyse, _render_matches(args, _date_lines, _date_span))
+    return _run_documents(args, analyse)
 
 
 def _geo_lines():
@@ -281,40 +270,30 @@ def _parse_size_filter(spec):
 
 def cmd_places(args):
     decode = _decoder(args)
-    if args.max_size_class_outside:
-        limit, keep = _parse_size_filter(args.max_size_class_outside)
-        index = gazetteer.load_gazetteer(args.gazetteer, max_size_class=limit,
-                                         keep_countries=keep)
-    else:
-        index = gazetteer.load_gazetteer(args.gazetteer)
+    spec = args.max_size_class_outside
+    limit, keep = _parse_size_filter(spec) if spec else (None, ())
+    index = gazetteer.load_gazetteer(args.gazetteer, max_size_class=limit, keep_countries=keep)
     stop_list = (gazetteer.load_stop_words(args.stopwords, args.lang or "")
                  if args.stopwords else None)
     triggers = gazetteer.load_triggers(args.triggers) if args.triggers else None
     table = gazetteer.name_table(index, triggers)
+    lines = _geo_lines()
 
     def analyse(path, raw):
         text = decode(raw)
         matches = geotag.tag_places(text, table, stop_list)
         resolved = geotag.disambiguate(matches, index)
-        tallies = geotag.aggregate_by_country(resolved)
-        return text, zip(matches, resolved), [
+        pairs = zip(matches, resolved)
+        if args.format == "inline":
+            return annotate.annotate_inline(text, [_geo_span(p) for p in pairs])
+        out = lines(path, pairs)
+        out.append(_encode_json(
             {"type": "tallies", "path": path,
-             "tallies": [{"country": t.country, "hits": t.hits,
-                          "percentage": t.percentage} for t in tallies]}]
+             "tallies": [{"country": t.country, "hits": t.hits, "percentage": t.percentage}
+                         for t in geotag.aggregate_by_country(resolved)]}) + "\n")
+        return "".join(out)
 
-    return _run_documents(args, analyse, _render_matches(args, _geo_lines(), _geo_span))
-
-
-def _place_dot(record):
-    """A one-mention dot from a place's ``geo`` record, checked for drawing."""
-    pid, lat, lon, country = record["place_id"], record["lat"], record["lon"], record["country"]
-    if not isinstance(pid, int) or isinstance(pid, bool) or not isinstance(country, str):
-        raise ValueError("bad place_id %r or country %r" % (pid, country))
-    if isinstance(lat, bool) or isinstance(lon, bool):
-        raise ValueError("bad coordinates (%r, %r)" % (lat, lon))
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        raise ValueError("coordinates (%r, %r) out of range" % (lat, lon))
-    return mapviz.PlaceDot(pid, lat, lon, country, 1)
+    return _run_documents(args, analyse)
 
 
 # One decoder for every annotation line, kept as _encode_json is.
@@ -329,7 +308,7 @@ def cmd_map(args):
     outline = mapviz.load_outline(args.outline)
     hits = Counter()
     hits_sum = 0.0  # kept small enough that every percentage of it is finite
-    dots = {}  # place_id -> the dot of its first record
+    dots = {}  # place_id -> (lat, lon, country) of its first record
     mentions = Counter()  # place_id -> its geo records
     records = 0
     for path in args.annotations:
@@ -362,15 +341,16 @@ def cmd_map(args):
                             raise ValueError("tallies hits sum %g is too large" % hits_sum)
                         hits[country] += n
                 elif kind == "geo" and "place_id" in record:
-                    # A later record of a place is drawn as the first, once it passes the
-                    # same checks; one equal to the first needs no check of its own.  A
-                    # boolean equals 0 or 1, so it is checked whatever it equals.
-                    pid, lat, lon = record["place_id"], record["lat"], record["lon"]
-                    dot = dots.get(pid)
-                    if (dot is None or dot.latitude != lat or dot.longitude != lon
-                            or dot.country != record["country"] or pid is True or pid is False
-                            or lat is True or lat is False or lon is True or lon is False):
-                        dots.setdefault(pid, _place_dot(record))
+                    # Every record of a place is checked; the first one places its dot.
+                    pid, lat, lon, country = (record["place_id"], record["lat"],
+                                              record["lon"], record["country"])
+                    if type(pid) is not int or not isinstance(country, str):
+                        raise ValueError("bad place_id %r or country %r" % (pid, country))
+                    if type(lat) is bool or type(lon) is bool:
+                        raise ValueError("bad coordinates (%r, %r)" % (lat, lon))
+                    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                        raise ValueError("coordinates (%r, %r) out of range" % (lat, lon))
+                    dots.setdefault(pid, (lat, lon, country))
                     mentions[pid] += 1
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError("%s:%d: not JSON: %s" % (path, lineno, exc)) from exc
@@ -384,8 +364,7 @@ def cmd_map(args):
     total = sum(hits.values())
     tallies = [geotag.CountryTally(c, n, 100.0 * n / total)
                for c, n in sorted(hits.items())] if total else []
-    places = [mapviz.PlaceDot(d.place_id, d.latitude, d.longitude, d.country, mentions[pid])
-              for pid, d in dots.items()]
+    places = [mapviz.PlaceDot(pid, *dot, mentions[pid]) for pid, dot in dots.items()]
     diagnostics = []
     svg = mapviz.render_svg(tallies, places, outline, style, diagnostics)
     for message in diagnostics:

@@ -218,7 +218,8 @@ def load_date_lexicon(path) -> DateLexicon:
     number_words = int_map("number_words")
     connectors = tuple(line for _, line in sections["connectors"])
 
-    # A surface carrying two different meanings would make matching ambiguous.
+    # One surface, one meaning: a surface listed twice, in one section or in two,
+    # would make matching ambiguous.
     pools = {
         "months": [s for surfs in months.values() for s in surfs],
         "day_ordinals": [s for surfs in day_ordinals.values() for s in surfs],
@@ -229,15 +230,10 @@ def load_date_lexicon(path) -> DateLexicon:
     seen = {}
     for pool_name, surfaces in pools.items():
         for s in surfaces:
-            if s in seen and seen[s] != pool_name:
-                raise LoadError("%s: surface %r appears in both [%s] and [%s]"
+            if s in seen:
+                raise LoadError("%s: surface %r appears in [%s] and again in [%s]"
                                 % (path, s, seen[s], pool_name))
             seen[s] = pool_name
-    for surfs in (months, day_ordinals):
-        flat = [s for v in surfs.values() for s in v]
-        if len(flat) != len(set(flat)):
-            dupes = sorted({s for s in flat if flat.count(s) > 1})
-            raise LoadError("%s: conflicting duplicate surfaces %s" % (path, dupes))
 
     return DateLexicon(language=language, default_order=default_order, months=months,
                        day_ordinals=day_ordinals, relative_days=relative_days,

@@ -252,6 +252,22 @@ class TestDates:
         lineno = text.splitlines().index(line) + 1
         assert (code, out, err) == (2, "", "placetime: x.lex:%d: %s\n" % (lineno, message))
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("\n[relative_days]\n", "\n[relative_days]\nJan = -1\n",
+         "surface 'Jan' appears in [months] and again in [relative_days]"),
+        ("\n2 = February|Feb|Feb.\n", "\n2 = February|Feb|Jan\n",
+         "surface 'Jan' appears in [months] and again in [months]"),
+    ], ids=["month-and-relative-day", "two-month-indexes"])
+    def test_duplicate_lexicon_surface_exit_2(self, capsys, tmp_path, monkeypatch,
+                                              old, new, message):
+        text = Path(LEX_EN).read_text(encoding="utf-8")
+        assert old in text
+        (tmp_path / "x.lex").write_text(text.replace(old, new), encoding="utf-8")
+        (tmp_path / "doc.txt").write_text("3 Jan 2003")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", "x.lex")
+        assert (code, out, err) == (2, "", "placetime: x.lex: %s\n" % message)
+
     def test_encoding_flag(self, capsys, tmp_path):
         doc = tmp_path / "doc.txt"
         doc.write_bytes("semnat la 11 noiembrie 1918".encode("utf-8"))
@@ -615,10 +631,12 @@ class TestMap:
          "bad coordinates (True, 0)"),
         ('{"type": "geo", "place_id": 1, "lat": 1, "lon": false, "country": "FR"}',
          "bad coordinates (1, False)"),
+        ('{"type": "geo", "place_id": 1.0, "lat": 1, "lon": 0, "country": "FR"}',
+         "bad place_id 1.0 or country 'FR'"),
     ])
     def test_boolean_equal_to_first_record_exit_2(self, capsys, tmp_path, later, message):
-        # true == 1 and false == 0: a later record that equals the first is still
-        # rejected when a field of it is a boolean.
+        # true == 1, false == 0 and 1.0 == 1: a later record that equals the first is
+        # still rejected when a field of it is a boolean or its id is a float.
         ann = tmp_path / "ann.jsonl"
         ann.write_text('{"type": "geo", "place_id": 1, "lat": 1, "lon": 0, "country": "FR"}\n'
                        + later + "\n")

@@ -93,7 +93,16 @@ class TestLexiconLoad:
                         "[months]\n" +
                         "".join("%d = m%d\n" % (i, i) for i in range(1, 13)) +
                         "[relative_days]\nm3 = -1\n")
-        with pytest.raises(LoadError):
+        with pytest.raises(LoadError, match=r"'m3' appears in \[months\] and again in "
+                                            r"\[relative_days\]$"):
+            load_date_lexicon(path)
+
+    def test_surface_under_two_month_indexes_rejected(self, tmp_path):
+        path = tmp_path / "bad.lex"
+        path.write_text("[months]\n" + "".join("%d = m%d\n" % (i, i) for i in range(1, 12))
+                        + "12 = m12|m3\n")
+        with pytest.raises(LoadError, match=r"'m3' appears in \[months\] and again in "
+                                            r"\[months\]$"):
             load_date_lexicon(path)
 
 

@@ -31,12 +31,16 @@ _PLACES = ["places", *_DOCS, "--lang", "en",
            "--gazetteer", str(DATA_DIR / "gazetteer" / "world_small.tsv")]
 _TAGGERS = ["--stopwords", str(DATA_DIR / "stopwords" / "en.txt"),
             "--triggers", str(DATA_DIR / "triggers" / "triggers.tsv")]
-_DATES = ["dates", *_DOCS, "--lexicon", str(DATA_DIR / "lexicons" / "en.lex"),
-          "--reference", "2003-03-01"]
+_DATE_OPTS = ["--lexicon", str(DATA_DIR / "lexicons" / "en.lex"), "--reference", "2003-03-01"]
+_DATES = ["dates", *_DOCS, *_DATE_OPTS]
+_DISCARDS = "../golden/dates-diagnostics.txt"
 
 # name -> (argv, working directory).  The map case reads the first places output;
 # map-fallback reads two annotation files with blank, whitespace-only and padded
 # lines, CR LF line ends and a later record of a place that moves.
+# dates-diagnostics names a missing document between two readings of a document
+# with discarded candidates, so its message falls between their diagnostics, and
+# the run exits 1.
 CASES = {
     "places-standoff": ([*_PLACES, *_TAGGERS], CORPUS_DIR),
     "places-inline": ([*_PLACES, *_TAGGERS, "--format", "inline"], CORPUS_DIR),
@@ -46,6 +50,8 @@ CASES = {
                      GOLDEN_DIR),
     "dates-standoff": (_DATES, CORPUS_DIR),
     "dates-inline": ([*_DATES, "--format", "inline"], CORPUS_DIR),
+    "dates-diagnostics": (["dates", _DISCARDS, "nosuch.txt", *_DOCS, _DISCARDS, *_DATE_OPTS,
+                           "--diagnostics"], CORPUS_DIR),
 }
 
 
