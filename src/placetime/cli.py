@@ -206,14 +206,16 @@ def cmd_dates(args):
     def analyse(path, raw):
         text = decode(raw)
         diagnostics = [] if args.diagnostics else None
-        matches = dates.extract_dates(
-            text, lexicon, reference=reference,
-            default_order=args.default_order,
-            reject_two_digit_years=args.reject_two_digit_years,
-            diagnostics=diagnostics)
-        for offset, surface, reason in diagnostics or ():
-            print("placetime: %s:%d: discarded %r (%s)"
-                  % (path, offset, surface, reason), file=sys.stderr)
+        try:
+            matches = dates.extract_dates(
+                text, lexicon, reference=reference,
+                default_order=args.default_order,
+                reject_two_digit_years=args.reject_two_digit_years,
+                diagnostics=diagnostics)
+        finally:  # a failed resolve still reports the file's discards, before its error
+            for offset, surface, reason in diagnostics or ():
+                print("placetime: %s:%d: discarded %r (%s)"
+                      % (path, offset, surface, reason), file=sys.stderr)
         if args.format == "inline":
             return annotate.annotate_inline(text, [_date_span(m) for m in matches])
         return "".join(_date_lines(path, matches))

@@ -112,10 +112,9 @@ class DateMatch(NamedTuple):
 
 @dataclass(frozen=True)
 class DateLexicon:
-    language: str
     default_order: str
-    months: dict            # 1..12 -> [surface, ...]
-    day_ordinals: dict      # 1..31 -> [surface, ...]
+    months: dict            # surface -> 1..12
+    day_ordinals: dict      # surface -> 1..31
     relative_days: dict     # surface -> day offset
     pre_modifiers: dict     # surface -> month-relative sign
     relative_years: dict    # surface phrase -> year offset
@@ -140,105 +139,88 @@ def _surfaces(value):
 
 
 def load_date_lexicon(path) -> DateLexicon:
-    """Parse a sectioned ``key = value`` parameter file (see data/lexicons)."""
-    sections = {name: [] for name in _SECTIONS}
-    current = None
+    """Parse a sectioned ``key = value`` parameter file (see data/lexicons).
+
+    One pass, top to bottom, puts each entry into the table of its section;
+    the first bad line in the file is the one reported.  A surface has one
+    meaning across the months, day ordinals, relative days, pre-modifiers and
+    relative years, since a surface listed twice would make matching ambiguous.
+    """
+    tables = {name: {} for name in _SECTIONS}
+    tables["connectors"] = []
+    meaning = {}            # surface -> the section that gave it its meaning
+    name = None
     for lineno, raw in enumerate(read_lines(path, "lexicon"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in sections:
-                raise LoadError("%s:%d: unknown section [%s]" % (path, lineno, current))
+            name = line[1:-1].strip()
+            table = tables.get(name)
+            if table is None:
+                raise LoadError("%s:%d: unknown section [%s]" % (path, lineno, name))
             continue
-        if current is None:
+        if name is None:
             raise LoadError("%s:%d: content before first section" % (path, lineno))
-        sections[current].append((lineno, line))
-
-    def keyvals(name):
-        out = []
-        for lineno, line in sections[name]:
-            if "=" not in line:
-                raise LoadError("%s:%d: expected 'key = value' in [%s]" % (path, lineno, name))
-            key, _, value = line.partition("=")
-            out.append((lineno, key.strip(), value.strip()))
-        return out
-
-    meta = {k: v for _, k, v in keyvals("meta")}
-    language = meta.get("language", "")
-    default_order = meta.get("default_order", ORDER_DMY).lower()
-    if default_order not in (ORDER_DMY, ORDER_MDY):
-        raise LoadError("%s: default_order must be dmy or mdy" % path)
-
-    months = {}
-    for lineno, key, value in keyvals("months"):
-        try:
-            idx = int(key)
-        except ValueError as exc:
-            raise LoadError("%s:%d: month index %r" % (path, lineno, key)) from exc
-        if not 1 <= idx <= 12 or idx in months:
-            raise LoadError("%s:%d: bad or duplicate month index %d" % (path, lineno, idx))
-        surfaces = _surfaces(value)
-        if not surfaces:
-            raise LoadError("%s:%d: month %d has no surfaces" % (path, lineno, idx))
-        months[idx] = surfaces
-    if set(months) != set(range(1, 13)):
-        missing = sorted(set(range(1, 13)) - set(months))
-        raise LoadError("%s: [months] missing indices %s" % (path, missing))
-
-    day_ordinals = {}
-    for lineno, key, value in keyvals("day_ordinals"):
-        try:
-            idx = int(key)
-        except ValueError as exc:
-            raise LoadError("%s:%d: day index %r" % (path, lineno, key)) from exc
-        if not 1 <= idx <= 31:
-            raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, idx))
-        day_ordinals.setdefault(idx, []).extend(_surfaces(value))
-
-    def int_map(name):
-        out = {}
-        for lineno, key, value in keyvals(name):
+        if name == "connectors":
+            table.append(line)
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise LoadError("%s:%d: expected 'key = value' in [%s]" % (path, lineno, name))
+        key = key.strip()
+        value = value.strip()
+        if name == "meta":
+            table[key] = value
+            continue
+        if name == "months":
+            try:
+                number = int(key)
+            except ValueError as exc:
+                raise LoadError("%s:%d: month index %r" % (path, lineno, key)) from exc
+            if not 1 <= number <= 12 or number in table.values():
+                raise LoadError("%s:%d: bad or duplicate month index %d" % (path, lineno, number))
+            surfaces = _surfaces(value)
+            if not surfaces:
+                raise LoadError("%s:%d: month %d has no surfaces" % (path, lineno, number))
+        elif name == "day_ordinals":
+            try:
+                number = int(key)
+            except ValueError as exc:
+                raise LoadError("%s:%d: day index %r" % (path, lineno, key)) from exc
+            if not 1 <= number <= 31:
+                raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, number))
+            surfaces = _surfaces(value)
+        else:
             if not key:
                 raise LoadError("%s:%d: empty surface in [%s]" % (path, lineno, name))
             if name == "number_words" and _RE_WORD_SEP.search(key):
                 raise LoadError("%s:%d: number word %r holds a space or '-'" % (path, lineno, key))
-            if key in out:
+            if key in table:
                 raise LoadError("%s:%d: duplicate surface %r in [%s]" % (path, lineno, key, name))
             try:
-                out[key] = int(value)
+                number = int(value)
             except ValueError as exc:
                 raise LoadError("%s:%d: bad integer %r" % (path, lineno, value)) from exc
-        return out
-
-    relative_days = int_map("relative_days")
-    pre_modifiers = int_map("pre_modifiers")
-    relative_years = int_map("relative_years")
-    number_words = int_map("number_words")
-    connectors = tuple(line for _, line in sections["connectors"])
-
-    # One surface, one meaning: a surface listed twice, in one section or in two,
-    # would make matching ambiguous.
-    pools = {
-        "months": [s for surfs in months.values() for s in surfs],
-        "day_ordinals": [s for surfs in day_ordinals.values() for s in surfs],
-        "relative_days": list(relative_days),
-        "pre_modifiers": list(pre_modifiers),
-        "relative_years": list(relative_years),
-    }
-    seen = {}
-    for pool_name, surfaces in pools.items():
+            if name == "number_words":
+                table[key] = number
+                continue
+            surfaces = (key,)
         for s in surfaces:
-            if s in seen:
+            if s in meaning:
                 raise LoadError("%s: surface %r appears in [%s] and again in [%s]"
-                                % (path, s, seen[s], pool_name))
-            seen[s] = pool_name
+                                % (path, s, meaning[s], name))
+            meaning[s] = name
+            table[s] = number
 
-    return DateLexicon(language=language, default_order=default_order, months=months,
-                       day_ordinals=day_ordinals, relative_days=relative_days,
-                       pre_modifiers=pre_modifiers, relative_years=relative_years,
-                       connectors=connectors, number_words=number_words)
+    default_order = tables.pop("meta").get("default_order", ORDER_DMY).lower()
+    if default_order not in (ORDER_DMY, ORDER_MDY):
+        raise LoadError("%s: default_order must be dmy or mdy" % path)
+    missing = sorted(set(range(1, 13)).difference(tables["months"].values()))
+    if missing:
+        raise LoadError("%s: [months] missing indices %s" % (path, missing))
+    tables["connectors"] = tuple(tables["connectors"])
+    return DateLexicon(default_order=default_order, **tables)   # one field per section
 
 
 # --------------------------------------------------------------------------
@@ -293,10 +275,8 @@ def find_numeric_dates(text: str):
 
 def infer_document_order(candidates, default: str = ORDER_DMY) -> str:
     """Document-wide field order from unambiguous numeric candidates."""
-    forced_dmy = any(c.dmy_possible and not c.mdy_possible
-                     for c in candidates if not c.ymd)
-    forced_mdy = any(c.mdy_possible and not c.dmy_possible
-                     for c in candidates if not c.ymd)
+    forced_dmy = any(c.dmy_possible and not c.mdy_possible for c in candidates)
+    forced_mdy = any(c.mdy_possible and not c.dmy_possible for c in candidates)
     if forced_mdy and not forced_dmy:
         return ORDER_MDY
     if forced_dmy and not forced_mdy:
@@ -363,19 +343,10 @@ class _Scanner:
 
     def __init__(self, lexicon: DateLexicon):
         self.lexicon = lexicon
-        self.month_of = {}
-        for idx, surfaces in lexicon.months.items():
-            for s in surfaces:
-                self.month_of[s] = idx
-        self.day_of = {}
-        for idx, surfaces in lexicon.day_ordinals.items():
-            for s in surfaces:
-                self.day_of[s] = idx
-
         conn = "(?i:%s)" % _alt(lexicon.connectors)
-        day_alt = r"(?:%s|\d{1,2})" % _alt(self.day_of)
+        day_alt = r"(?:%s|\d{1,2})" % _alt(lexicon.day_ordinals)
 
-        self.re_month = _word_pattern(self.month_of)
+        self.re_month = _word_pattern(lexicon.months)
         self.re_day_left = re.compile(
             r"(?<!\w)(?:(%s)[\s,]+)?(%s)(?:[\s,]+(?:%s))?[\s,]+\Z"
             % (conn, day_alt, conn))
@@ -398,7 +369,7 @@ class _Scanner:
         # The most separator-delimited tokens a match of re_day_left,
         # re_year_left or re_premod can hold; a year is one token.
         conn_tokens = _max_tokens(lexicon.connectors)
-        left_tokens = max(2 * conn_tokens + max(_max_tokens(self.day_of), 1),
+        left_tokens = max(2 * conn_tokens + max(_max_tokens(lexicon.day_ordinals), 1),
                           1 + conn_tokens, _max_tokens(lexicon.pre_modifiers))
         # Matched on the reversed text: one more token than that.
         self.re_left_window = re.compile(
@@ -421,8 +392,9 @@ class _Scanner:
         return pattern.search(text, self.left_window(text, rev, end), end)
 
     def parse_day(self, surface: str):
-        if surface in self.day_of:
-            return self.day_of[surface]
+        day_ordinals = self.lexicon.day_ordinals
+        if surface in day_ordinals:
+            return day_ordinals[surface]
         if surface.isdigit():
             value = int(surface)
             if 1 <= value <= 31:
@@ -490,7 +462,7 @@ def find_lexical_dates(text: str, lexicon: DateLexicon):
 
 
 def _scan_month(text, rev, m, sc: _Scanner):
-    month = sc.month_of[m.group(1)]
+    month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
     anchor = start
     day = year = rel_offset = None

@@ -24,8 +24,7 @@ RE_NUM_GEN = re.compile(r"(?<!\d)(\d{1,2})([./-])(\d{1,2})\2(\d{4}|\d{2})(?!\d)"
 
 
 def month_pattern(lexicon):
-    return re.compile(r"(?<!\w)(%s)(?!\w)"
-                      % _alt(s for forms in lexicon.months.values() for s in forms))
+    return re.compile(r"(?<!\w)(%s)(?!\w)" % _alt(lexicon.months))
 
 
 def relday_pattern(lexicon):
@@ -110,7 +109,7 @@ class NormalizedDate:
 
 
 def _scan_month(text, rev, m, sc):
-    month = sc.month_of[m.group(1)]
+    month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
     anchor = start
     day = year = rel_year = None

@@ -6,7 +6,9 @@ It takes the arguments of ``cmd_map`` and can stand in for it in
 ``cli._COMMANDS``.  It lets booleans through, which ``cmd_map`` rejects, and
 also an integral float id (``1.0``) in a record that equals an earlier one with
 the integer id, since ``dots.get(1.0)`` finds place 1; a line nested deeper than
-the recursion limit ends in a ``RecursionError``.
+the recursion limit ends in a ``RecursionError``.  An unhashable id (``[1]``,
+``{}``) is named as a bad ``place_id``, as ``cmd_map`` names it, not by the
+``TypeError`` of its lookup.
 """
 
 import json
@@ -61,7 +63,10 @@ def cmd_map(args):
                         hits[country] += n
                 elif record.get("type") == "geo" and "place_id" in record:
                     pid = record["place_id"]
-                    dot = dots.get(pid)
+                    try:
+                        dot = dots.get(pid)
+                    except TypeError:  # an unhashable id, rejected by _place_dot below
+                        dot = None
                     if (dot is None or dot.latitude != record["lat"]
                             or dot.longitude != record["lon"] or dot.country != record["country"]):
                         dot = dots.setdefault(pid, _place_dot(record))

@@ -221,6 +221,17 @@ class TestDates:
         assert err == "placetime: bad.txt: %r: %s is out of range from reference %s\n" % (
             phrase, normal, reference)
 
+    def test_discards_precede_failed_resolve(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "doc.txt").write_text("Filed 31/02/2003, due next June.")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", LEX_EN,
+                             "--reference", "9999-12-31", "--diagnostics")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "placetime: doc.txt:6: discarded '31/02/2003' (no valid day/month reading)",
+            "placetime: doc.txt: 'next June': M06+1 is out of range from reference 9999-12-31",
+        ]
+
     def test_leading_space_after_bar_is_stripped(self, capsys, tmp_path, monkeypatch):
         text = Path(LEX_EN).read_text(encoding="utf-8").replace(
             "\n1 = January|Jan|Jan.\n", "\n1 = January| Jan\n")

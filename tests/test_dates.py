@@ -61,14 +61,12 @@ class TestNormalizedDate:
 
 class TestLexiconLoad:
     def test_english_fixture(self, lexicon_en):
-        assert lexicon_en.language == "en"
-        assert set(lexicon_en.months) == set(range(1, 13))
+        assert set(lexicon_en.months.values()) == set(range(1, 13))
         assert lexicon_en.relative_days["yesterday"] == -1
         assert lexicon_en.pre_modifiers["next"] == 1
 
     def test_romanian_diacritic_variants(self, lexicon_ro):
-        surfaces = {s for forms in lexicon_ro.day_ordinals.values() for s in forms}
-        assert "întîi" in surfaces and "intii" in surfaces
+        assert "întîi" in lexicon_ro.day_ordinals and "intii" in lexicon_ro.day_ordinals
 
     def test_missing_month_rejected(self, tmp_path):
         path = tmp_path / "bad.lex"
@@ -84,8 +82,9 @@ class TestLexiconLoad:
                         "".join("%d = m%d\n" % (i, i) for i in range(2, 13)) +
                         "[day_ordinals]\n1 = first | 1st\n2 =  |second\n", encoding="utf-8")
         lexicon = load_date_lexicon(path)
-        assert lexicon.months[1] == ["January", "Jan", "Jan."]
-        assert lexicon.day_ordinals == {1: ["first", "1st"], 2: ["second"]}
+        assert list(lexicon.months.items())[:4] == [("January", 1), ("Jan", 1), ("Jan.", 1),
+                                                    ("m2", 2)]
+        assert lexicon.day_ordinals == {"first": 1, "1st": 1, "second": 2}
 
     def test_conflicting_surface_rejected(self, tmp_path):
         path = tmp_path / "bad.lex"
@@ -104,6 +103,50 @@ class TestLexiconLoad:
         with pytest.raises(LoadError, match=r"'m3' appears in \[months\] and again in "
                                             r"\[months\]$"):
             load_date_lexicon(path)
+
+    # Line 5 is "1 = m1", 16 "12 = m12", 18 "1 = first", 20 "today = 0" and 28 "one = 1".
+    _VALID = ("[meta]\nlanguage = xx\ndefault_order = dmy\n[months]\n"
+              + "".join("%d = m%d\n" % (i, i) for i in range(1, 13))
+              + "[day_ordinals]\n1 = first\n[relative_days]\ntoday = 0\n"
+                "[pre_modifiers]\nnext = +1\n[relative_years]\nnext year = +1\n"
+                "[connectors]\nof\n[number_words]\none = 1\n")
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("[connectors]\n", "[connector]\n", "{path}:25: unknown section [connector]"),
+        ("[meta]\n", "x = 1\n[meta]\n", "{path}:1: content before first section"),
+        ("language = xx", "language xx", "{path}:2: expected 'key = value' in [meta]"),
+        ("default_order = dmy", "default_order = ymd", "{path}: default_order must be dmy or mdy"),
+        ("\n1 = m1\n", "\none = m1\n", "{path}:5: month index 'one'"),
+        ("12 = m12", "13 = m12", "{path}:16: bad or duplicate month index 13"),
+        ("12 = m12", "1 = m12", "{path}:16: bad or duplicate month index 1"),
+        ("12 = m12", "12 = | ", "{path}:16: month 12 has no surfaces"),
+        ("12 = m12\n", "", "{path}: [months] missing indices [12]"),
+        ("\n1 = first\n", "\nfirst = 1st\n", "{path}:18: day index 'first'"),
+        ("\n1 = first\n", "\n32 = first\n", "{path}:18: day index 32 outside 1..31"),
+        ("today = 0", "= 0", "{path}:20: empty surface in [relative_days]"),
+        ("one = 1", "one two = 1", "{path}:28: number word 'one two' holds a space or '-'"),
+        ("today = 0\n", "today = 0\ntoday = -1\n",
+         "{path}:21: duplicate surface 'today' in [relative_days]"),
+        ("next = +1", "next = soon", "{path}:22: bad integer 'soon'"),
+        ("today = 0", "m3 = 0",
+         "{path}: surface 'm3' appears in [months] and again in [relative_days]"),
+        ("12 = m12", "12 = m12|m3",
+         "{path}: surface 'm3' appears in [months] and again in [months]"),
+        ("\n1 = first\n", "\n1 = first\n2 = first\n",
+         "{path}: surface 'first' appears in [day_ordinals] and again in [day_ordinals]"),
+    ])
+    def test_single_fault_message(self, tmp_path, old, new, message):
+        path = tmp_path / "x.lex"
+        assert self._VALID.count(old) == 1
+        path.write_text(self._VALID.replace(old, new), encoding="utf-8")
+        with pytest.raises(LoadError) as excinfo:
+            load_date_lexicon(path)
+        assert str(excinfo.value) == message.format(path=path)
+
+    def test_single_fault_base_loads(self, tmp_path):
+        path = tmp_path / "x.lex"
+        path.write_text(self._VALID, encoding="utf-8")
+        assert load_date_lexicon(path).relative_years == {"next year": 1}
 
 
 class TestNumericFinder:
@@ -448,7 +491,7 @@ _FILLER = ("report", "said", "Paris", "ago", "x", "Year", "2a", "of-the", "anul2
 def _left_words(lexicon):
     """One word: first a kind, then a surface of that kind, so that the few
     multi-word connectors are drawn as often as all day ordinals together."""
-    days = [s for forms in lexicon.day_ordinals.values() for s in forms]
+    days = list(lexicon.day_ordinals)
     kinds = [list(lexicon.connectors), days, ["1", "02", "31", "1999", "2003"],
              list(_FILLER), list(lexicon.pre_modifiers)]
     return st.sampled_from([k for k in kinds if k]).flatmap(st.sampled_from)
@@ -496,7 +539,7 @@ def test_windowed_left_search_finds_longest_day_context(lexicon_name, request):
         return max(surfaces, key=lambda s: len(re.findall(r"[^\s,-]+", s)))
 
     conn = longest(lexicon.connectors)
-    day = longest(s for forms in lexicon.day_ordinals.values() for s in forms)
+    day = longest(lexicon.day_ordinals)
     text = "filler " * 20 + "%s , %s,\n%s   " % (conn, day, conn)
     m = sc.search_left(sc.re_day_left, text, text[::-1], len(text))
     assert (m.start(), m.group(1), m.group(2)) == (140, conn, day)
@@ -559,9 +602,9 @@ def _left_run(lexicon):
     def maybe(surfaces):
         return st.sampled_from(["", *surfaces])
     conn = maybe(lexicon.connectors)
-    days = [s for forms in lexicon.day_ordinals.values() for s in forms]
+    days = list(lexicon.day_ordinals)
     return st.tuples(maybe(["1999"]), conn, conn, st.sampled_from(["7", "31", *days]), conn,
-                     st.sampled_from([s for forms in lexicon.months.values() for s in forms])
+                     st.sampled_from(list(lexicon.months))
                      ).map(lambda parts: " ".join(p for p in parts if p))
 
 
@@ -572,8 +615,8 @@ def _date_words(lexicon):
     relative year after it is also drawn as one word, so that every kind of
     date, and days past the month's end ("30 February 1999"), are common.
     """
-    months = [s for forms in lexicon.months.values() for s in forms]
-    kinds = [months, [s for forms in lexicon.day_ordinals.values() for s in forms],
+    months = list(lexicon.months)
+    kinds = [months, list(lexicon.day_ordinals),
              list(lexicon.relative_days), list(lexicon.pre_modifiers),
              list(lexicon.relative_years), list(lexicon.connectors),
              list(lexicon.number_words), list(_FILLER)]
@@ -659,8 +702,8 @@ def _load_generated(tmp_path_factory, source):
 
 
 def _lexicon_words(lexicon):
-    return st.sampled_from([s for forms in lexicon.months.values() for s in forms]
-                           + [s for forms in lexicon.day_ordinals.values() for s in forms]
+    return st.sampled_from(list(lexicon.months)
+                           + list(lexicon.day_ordinals)
                            + [*lexicon.relative_days, *lexicon.pre_modifiers,
                               *lexicon.relative_years, *lexicon.connectors,
                               *lexicon.number_words, "7", "1999", "x"])
@@ -721,7 +764,7 @@ def test_shipped_lexicon_scans_equal_lookbehind_led(lexicon_name, request, corpu
     docs = [p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.txt"))]
     for new, old, surfaces in (
             (sc.re_month, dates_oracle.month_pattern(lexicon),
-             [s for forms in lexicon.months.values() for s in forms]),
+             list(lexicon.months)),
             (sc.re_relday, dates_oracle.relday_pattern(lexicon), list(lexicon.relative_days))):
         glued = [text for s in surfaces for g in _GLUE
                  for text in (s, g + s, s + g, g + s + g, "%s %s %s" % (g, s, g))]

@@ -8,7 +8,10 @@ the SVG they write.
 
 To regenerate the expected outputs from a given source tree::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+With names, only those cases and their ``codes.json`` entries are rewritten;
+with none, every case is.
 """
 
 import json
@@ -31,7 +34,8 @@ _PLACES = ["places", *_DOCS, "--lang", "en",
            "--gazetteer", str(DATA_DIR / "gazetteer" / "world_small.tsv")]
 _TAGGERS = ["--stopwords", str(DATA_DIR / "stopwords" / "en.txt"),
             "--triggers", str(DATA_DIR / "triggers" / "triggers.tsv")]
-_DATE_OPTS = ["--lexicon", str(DATA_DIR / "lexicons" / "en.lex"), "--reference", "2003-03-01"]
+_REFERENCE = ["--reference", "2003-03-01"]
+_DATE_OPTS = ["--lexicon", str(DATA_DIR / "lexicons" / "en.lex"), *_REFERENCE]
 _DATES = ["dates", *_DOCS, *_DATE_OPTS]
 _DISCARDS = "../golden/dates-diagnostics.txt"
 
@@ -40,7 +44,8 @@ _DISCARDS = "../golden/dates-diagnostics.txt"
 # lines, CR LF line ends and a later record of a place that moves.
 # dates-diagnostics names a missing document between two readings of a document
 # with discarded candidates, so its message falls between their diagnostics, and
-# the run exits 1.
+# the run exits 1.  dates-ro reads a Romanian text that uses every non-empty
+# section of ro.lex.
 CASES = {
     "places-standoff": ([*_PLACES, *_TAGGERS], CORPUS_DIR),
     "places-inline": ([*_PLACES, *_TAGGERS, "--format", "inline"], CORPUS_DIR),
@@ -52,6 +57,8 @@ CASES = {
     "dates-inline": ([*_DATES, "--format", "inline"], CORPUS_DIR),
     "dates-diagnostics": (["dates", _DISCARDS, "nosuch.txt", *_DOCS, _DISCARDS, *_DATE_OPTS,
                            "--diagnostics"], CORPUS_DIR),
+    "dates-ro": (["dates", "dates-ro.txt", "--lang", "ro",
+                  "--lexicon", str(DATA_DIR / "lexicons" / "ro.lex"), *_REFERENCE], GOLDEN_DIR),
 }
 
 
@@ -84,16 +91,22 @@ def test_package_runs_as_module(tmp_path):
     assert (out, err, code) == ((GOLDEN_DIR / "dates-standoff.stdout").read_bytes(), b"", 0)
 
 
-def write_golden():
+def write_golden(names):
+    """Rewrite the expected outputs and exit codes of the named cases."""
+    unknown = set(names) - set(CASES)
+    if unknown:
+        sys.exit("unknown golden case(s): %s" % ", ".join(sorted(unknown)))
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    codes = {}
+    codes_path = GOLDEN_DIR / "codes.json"
+    codes = json.loads(codes_path.read_text(encoding="utf-8")) if codes_path.exists() else {}
     for name in CASES:  # places-standoff first: the map case reads it
-        out, err, codes[name] = run_case(name, GOLDEN_DIR / ("%s.svg" % name))
-        (GOLDEN_DIR / ("%s.stdout" % name)).write_bytes(out)
-        (GOLDEN_DIR / ("%s.stderr" % name)).write_bytes(err)
-    (GOLDEN_DIR / "codes.json").write_text(json.dumps(codes, indent=1) + "\n",
-                                           encoding="utf-8")
+        if name in names:
+            out, err, codes[name] = run_case(name, GOLDEN_DIR / ("%s.svg" % name))
+            (GOLDEN_DIR / ("%s.stdout" % name)).write_bytes(out)
+            (GOLDEN_DIR / ("%s.stderr" % name)).write_bytes(err)
+    codes = {name: codes[name] for name in CASES if name in codes}
+    codes_path.write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    write_golden()
+    write_golden(sys.argv[1:] or list(CASES))
