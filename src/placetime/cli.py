@@ -179,7 +179,7 @@ def _date_lines(path, matches):
     The head up to ``offset`` is encoded once per call, and only the surface
     per record: a kind value and a normal form are ASCII with nothing to escape.
     """
-    head = _encode_json({"type": "date", "path": path})[:-1] + ', "offset": '
+    head = '{"type": "date", "path": %s, "offset": ' % _encode_json(path)
     out = []
     for offset, length, surface, normal, resolved in matches:
         out.append('%s%d, "length": %d, "surface": %s, "kind": "%s", "normal": "%s"%s}\n'
@@ -239,7 +239,7 @@ def _geo_lines():
         return ", " + _encode_json(fields)[1:] + "\n"
 
     def lines(path, pairs):
-        head = _encode_json({"type": "geo", "path": path})[:-1] + ', "offset": '
+        head = '{"type": "geo", "path": %s, "offset": ' % _encode_json(path)
         out = []
         for m, place in pairs:
             key = place if isinstance(place, str) else place.id
@@ -250,6 +250,18 @@ def _geo_lines():
                        % (head, m.offset, m.length, _encode_json(m.surface), rest))
         return out
     return lines
+
+
+def _tallies_line(path, tallies):
+    """The ``tallies`` record of a file's :class:`~placetime.geotag.CountryTally` list.
+
+    Only the path needs the JSON encoder: a country code is two ASCII
+    capitals, ``hits`` an int, and ``percentage`` a finite float, whose
+    ``repr`` is what ``json`` writes.
+    """
+    return '{"type": "tallies", "path": %s, "tallies": [%s]}\n' % (
+        _encode_json(path),
+        ", ".join(['{"country": "%s", "hits": %d, "percentage": %r}' % t for t in tallies]))
 
 
 def _geo_span(pair):
@@ -289,10 +301,7 @@ def cmd_places(args):
         if args.format == "inline":
             return annotate.annotate_inline(text, [_geo_span(p) for p in pairs])
         out = lines(path, pairs)
-        out.append(_encode_json(
-            {"type": "tallies", "path": path,
-             "tallies": [{"country": t.country, "hits": t.hits, "percentage": t.percentage}
-                         for t in geotag.aggregate_by_country(resolved)]}) + "\n")
+        out.append(_tallies_line(path, geotag.aggregate_by_country(resolved)))
         return "".join(out)
 
     return _run_documents(args, analyse)

@@ -131,6 +131,7 @@ class DateLexicon:
 
 _SECTIONS = ("meta", "months", "day_ordinals", "relative_days", "pre_modifiers",
              "relative_years", "connectors", "number_words")
+_META_KEYS = ("language", "default_order")  # ``language`` is accepted and ignored
 
 
 def _surfaces(value):
@@ -171,6 +172,10 @@ def load_date_lexicon(path) -> DateLexicon:
         key = key.strip()
         value = value.strip()
         if name == "meta":
+            if key not in _META_KEYS:
+                raise LoadError("%s:%d: unknown [meta] key %r" % (path, lineno, key))
+            if key in table:
+                raise LoadError("%s:%d: duplicate [meta] key %r" % (path, lineno, key))
             table[key] = value
             continue
         if name == "months":

@@ -11,37 +11,37 @@ beats 4) unless another candidate's country has strictly more unambiguous
 references in the document.  :func:`disambiguate` returns one resolution
 per match: the winning :class:`~placetime.gazetteer.PlaceRecord`, or a
 trigger's country code.
+
+:class:`GeoMatch` and :class:`CountryTally` are named tuples, built
+positionally once per match and per country.  A match takes the candidates
+and trigger of its table entry unchecked: the rule that an entry has place
+ids or a trigger is checked once per entry at load, where
+:func:`~placetime.gazetteer._first_token_index` makes the entries.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, count
+from typing import NamedTuple
 
 from .gazetteer import CountryTrigger, GazetteerIndex, GeoStopList, locate, split_words
 from .gazetteer import tokenize  # noqa: F401  (perfbench wraps ``geotag.tokenize`` by name)
 
 
-@dataclass(frozen=True)
-class GeoMatch:
+class GeoMatch(NamedTuple):
     offset: int
     length: int
     surface: str
     candidates: tuple = ()
     trigger: CountryTrigger | None = None
 
-    def __post_init__(self):
-        if not self.candidates and self.trigger is None:
-            raise ValueError("GeoMatch needs candidates or a trigger")
-
     @property
     def is_ambiguous(self):
         return self.trigger is None and len(self.candidates) > 1
 
 
-@dataclass(frozen=True)
-class CountryTally:
+class CountryTally(NamedTuple):
     country: str
     hits: int
     percentage: float
@@ -120,9 +120,7 @@ def disambiguate(matches, index: GazetteerIndex):
 
 def aggregate_by_country(resolved):
     """Hit counts and percentages per country over :func:`disambiguate`'s resolutions."""
-    counts = Counter(r if isinstance(r, str) else r.country for r in resolved)
-    total = sum(counts.values())
-    tallies = [CountryTally(country=c, hits=n, percentage=100.0 * n / total)
-               for c, n in counts.items()]
-    tallies.sort(key=lambda t: (-t.hits, t.country))
-    return tallies
+    counts = Counter([r if isinstance(r, str) else r.country for r in resolved])
+    total = len(resolved)
+    return [CountryTally(c, n, 100.0 * n / total)
+            for c, n in sorted(counts.items(), key=lambda cn: (-cn[1], cn[0]))]

@@ -187,9 +187,11 @@ def load_profile(path) -> LangEncProfile:
     except ValueError as exc:
         raise LoadError("%s:1: %s" % (path, exc)) from exc
     bigrams, trigrams = {}, {}
+    blank = 0
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split()
         if not fields:
+            blank += 1
             continue
         try:
             if len(fields) == 5 and fields[0] == "T":
@@ -204,16 +206,40 @@ def load_profile(path) -> LangEncProfile:
                 raise ValueError("negative count")
         except (KeyError, ValueError) as exc:
             raise LoadError("%s:%d: malformed record %r" % (path, lineno, line)) from exc
+    if len(bigrams) + len(trigrams) != len(lines) - 1 - blank:
+        _raise_duplicate(path, lines)
     return LangEncProfile(label=label, bigram_counts=bigrams,
                           trigram_counts=trigrams, total_bytes=total)
 
 
+def _raise_duplicate(path, lines):
+    """Raise a LoadError naming the first record whose bytes an earlier record had.
+
+    Only called when a profile holds fewer keys than records, so a clean load
+    pays one comparison for the check.
+    """
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        key = tuple(line.split()[1:-1])
+        if key in seen:
+            raise LoadError("%s:%d: duplicate record %r" % (path, lineno, line))
+        if key:
+            seen.add(key)
+
+
 def load_profile_dir(directory):
-    """Load every ``*.prof`` file under ``directory``."""
+    """Load every ``*.prof`` file under ``directory``; no two may share a label."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError("profile directory %s does not exist" % directory)
-    profiles = [load_profile(p) for p in sorted(directory.glob("*.prof"))]
-    if not profiles:
+    paths = sorted(directory.glob("*.prof"))
+    if not paths:
         raise ConfigError("no *.prof files in %s" % directory)
+    profiles = [load_profile(p) for p in paths]
+    first = {}
+    for p, profile in zip(paths, profiles):
+        other = first.setdefault(profile.label, p)
+        if other is not p:
+            raise ConfigError("profiles %s and %s both have label %s"
+                              % (other, p, profile.label))
     return profiles

@@ -85,6 +85,30 @@ class TestIdentify:
         assert len(err.splitlines()) == 1
 
 
+    def test_duplicate_profile_record_exit_2(self, capsys, tmp_path, profile_dir):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        good = (profile_dir / "en.prof").read_bytes().splitlines()
+        bad = profiles / "en.prof"
+        bad.write_bytes(b"\n".join(good + [good[-1]]) + b"\n")
+        doc = tmp_path / "doc.txt"
+        doc.write_text("hello there")
+        code, out, err = run(capsys, "identify", str(doc), "--profiles", str(profiles))
+        assert (code, out, err) == (2, "", "placetime: %s:%d: duplicate record %r\n"
+                                    % (bad, len(good) + 1, good[-1].decode()))
+
+    def test_duplicate_profile_label_exit_2(self, capsys, tmp_path, profile_dir):
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        for name in ("a.prof", "b.prof"):
+            (profiles / name).write_bytes((profile_dir / "en.prof").read_bytes())
+        doc = tmp_path / "doc.txt"
+        doc.write_text("hello there")
+        code, out, err = run(capsys, "identify", str(doc), "--profiles", str(profiles))
+        label = next(label for label in corpusgen.labels() if label.language == "en")
+        assert (code, out, err) == (2, "", "placetime: profiles %s and %s both have label %s\n"
+                                    % (profiles / "a.prof", profiles / "b.prof", label))
+
     def test_unreadable_profile_exit_2(self, capsys, tmp_path, profile_dir):
         profiles = tmp_path / "profiles"
         profiles.mkdir()
@@ -278,6 +302,20 @@ class TestDates:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", "x.lex")
         assert (code, out, err) == (2, "", "placetime: x.lex: %s\n" % message)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("default_order = dmy\n", "default_ordr = mdy\n", "4: unknown [meta] key 'default_ordr'"),
+        ("default_order = dmy\n", "default_order = dmy\ndefault_order = mdy\n",
+         "5: duplicate [meta] key 'default_order'"),
+    ], ids=["unknown", "repeated"])
+    def test_bad_meta_key_exit_2(self, capsys, tmp_path, monkeypatch, old, new, message):
+        text = Path(LEX_EN).read_text(encoding="utf-8")
+        assert text.count(old) == 1 and text.splitlines()[3] == old.strip()
+        (tmp_path / "x.lex").write_text(text.replace(old, new), encoding="utf-8")
+        (tmp_path / "doc.txt").write_text("03/04/2003")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dates", "doc.txt", "--lexicon", "x.lex")
+        assert (code, out, err) == (2, "", "placetime: x.lex:%s\n" % message)
 
     def test_encoding_flag(self, capsys, tmp_path):
         doc = tmp_path / "doc.txt"

@@ -115,6 +115,12 @@ class TestLexiconLoad:
         ("[connectors]\n", "[connector]\n", "{path}:25: unknown section [connector]"),
         ("[meta]\n", "x = 1\n[meta]\n", "{path}:1: content before first section"),
         ("language = xx", "language xx", "{path}:2: expected 'key = value' in [meta]"),
+        ("default_order = dmy", "default_ordr = mdy",
+         "{path}:3: unknown [meta] key 'default_ordr'"),
+        ("language = xx\n", "language = xx\nlanguage = yy\n",
+         "{path}:3: duplicate [meta] key 'language'"),
+        ("default_order = dmy\n", "default_order = dmy\ndefault_order = mdy\n",
+         "{path}:4: duplicate [meta] key 'default_order'"),
         ("default_order = dmy", "default_order = ymd", "{path}: default_order must be dmy or mdy"),
         ("\n1 = m1\n", "\none = m1\n", "{path}:5: month index 'one'"),
         ("12 = m12", "13 = m12", "{path}:16: bad or duplicate month index 13"),

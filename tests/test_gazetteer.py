@@ -294,6 +294,11 @@ class TestNameTable:
                                          (["Congo"], (1,), None)]
         assert len(triggers._first["Congo"]) == 3
 
+    def test_entry_needs_candidates_or_a_trigger(self):
+        with pytest.raises(ValueError, match="needs candidates or a trigger"):
+            gazetteer._first_token_index([("Paris", 0)], None,
+                                         lambda key, values: (key, (), None))
+
 
 class TestProposeStopWords:
     def test_split_proposed(self, gaz_index):

@@ -208,6 +208,28 @@ class TestProfileFiles:
         with pytest.raises(langid.LoadError, match=r"bad\.prof:4: malformed record "):
             langid.load_profile(path)
 
+    @pytest.mark.parametrize("body,lineno,record", [
+        ("B 1 2 3\nT 1 2 3 1\nT 1 2 3 7\n", 4, "T 1 2 3 7"),
+        ("T 1 2 3 1\nB 1 2 3\n\nB 1 2 9\nB 1 2 3\n", 5, "B 1 2 9"),
+        ("B 1 2 3\nT 4 5 6 1\n  T  4 5 6   1 \n", 4, "  T  4 5 6   1 "),
+    ])
+    def test_duplicate_record_names_line(self, tmp_path, body, lineno, record):
+        path = tmp_path / "dup.prof"
+        path.write_text("#langenc en UTF-8 9\n" + body)
+        with pytest.raises(langid.LoadError) as excinfo:
+            langid.load_profile(path)
+        assert str(excinfo.value) == "%s:%d: duplicate record %r" % (path, lineno, record)
+
+    def test_duplicate_label_in_directory(self, tmp_path):
+        text = "#langenc en UTF-8 9\nB 1 2 3\n"
+        for name in ("a.prof", "b.prof"):
+            (tmp_path / name).write_text(text)
+        (tmp_path / "c.prof").write_text(text.replace(" en ", " ro "))
+        with pytest.raises(ConfigError) as excinfo:
+            langid.load_profile_dir(tmp_path)
+        assert str(excinfo.value) == "profiles %s and %s both have label en/UTF-8" % (
+            tmp_path / "a.prof", tmp_path / "b.prof")
+
     def test_negative_total_bytes(self, tmp_path):
         path = tmp_path / "bad.prof"
         path.write_text("#langenc en UTF-8 -5\nB 1 2 3\n")
