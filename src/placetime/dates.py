@@ -11,19 +11,22 @@ The pipeline first finds complete numeric dates (``13/02/03``,
 month-day-year, then anchors on month names and scans both sides for the
 remaining parts.  The full-text scans keep the regex engine from trying a
 match at every character: every one starts by consuming a character the
-engine can skip ahead to.  The numeric patterns start with a digit, and
-the month and relative-day alternations are grouped by the first character
-of the lexicon's own surfaces, each group checking the word boundary only
-after that character.  Each left-context search is bounded by token count: it
-looks only as many separator-delimited tokens back from the month as the
-lexicon's longest connector, day surface, year and pre-modifier could
-fill, which finds the same match as a search over the whole prefix.  The
-day, year and pre-modifier searches that end at the month share one such
-window.  Overlaps between candidates are resolved against sorted spans, so
+engine can skip ahead to.  The numeric scans start a few characters before
+the first digit-separator-digit pair, and do not run without one; the
+month and relative-day alternations are grouped by the first character of
+the lexicon's own surfaces, each group checking the word boundary only
+after that character.  A left-context search runs only after its reversed
+pattern, matched on the reversed text at the month, shows that a match
+ends there.  It is bounded by token count: it looks only as many
+separator-delimited tokens back from the month as the lexicon's longest
+connector, day surface, year and pre-modifier could fill, which finds the
+same match as a search over the whole prefix.  The day, year and
+pre-modifier searches that end at the month share one such window.
+Overlaps between candidates are resolved against sorted spans, so
 extraction takes time linear in document length.  Matches carry character
 offset, length and a typed normal form; relative expressions can be
 resolved against a reference date.  Candidates and matches are plain
-named tuples; only the normal form validates its fields.
+named tuples, and normal forms are tuples validated on construction.
 """
 
 from __future__ import annotations
@@ -68,35 +71,40 @@ class DateKind(Enum):
         return kind
 
 
-@dataclass(frozen=True)
-class NormalizedDate:
+class _DateFields(NamedTuple):
     kind: DateKind
     year: int | None = None
     month: int | None = None
     day: int | None = None
     rel_offset: int | None = None
 
-    def __post_init__(self):
-        if (self.year is not None, self.month is not None, self.day is not None,
-                self.rel_offset is not None) != self.kind.present:
-            for name, want in zip(_FIELDS, self.kind.present):
-                have = getattr(self, name) is not None
+
+class NormalizedDate(_DateFields):
+    """A date kind with exactly the fields it carries, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, year=None, month=None, day=None, rel_offset=None):
+        if (year is not None, month is not None, day is not None,
+                rel_offset is not None) != kind.present:
+            for name, value, want in zip(_FIELDS, (year, month, day, rel_offset), kind.present):
+                have = value is not None
                 if have != want:
                     raise ValueError("%s: field %s %s for kind %s"
-                                     % (self.kind.value, name,
-                                        "unexpected" if have else "required", self.kind))
-        if self.month is not None and not 1 <= self.month <= 12:
-            raise ValueError("month %r outside 1..12" % (self.month,))
-        if self.day is not None:
-            if self.month is None:
+                                     % (kind.value, name,
+                                        "unexpected" if have else "required", kind))
+        if month is not None and not 1 <= month <= 12:
+            raise ValueError("month %r outside 1..12" % (month,))
+        if day is not None:
+            if month is None:
                 limit = 31
-            elif self.month == 2 and self.year is not None and not calendar.isleap(self.year):
+            elif month == 2 and year is not None and not calendar.isleap(year):
                 limit = 28
             else:
-                limit = _MONTH_DAYS[self.month - 1]
-            if not 1 <= self.day <= limit:
-                raise ValueError("day %r invalid for month %r year %r"
-                                 % (self.day, self.month, self.year))
+                limit = _MONTH_DAYS[month - 1]
+            if not 1 <= day <= limit:
+                raise ValueError("day %r invalid for month %r year %r" % (day, month, year))
+        return tuple.__new__(cls, (kind, year, month, day, rel_offset))
 
     def to_string(self) -> str:
         return self.kind.form % self.kind.values_of(self)
@@ -247,6 +255,12 @@ class NumericCandidate(NamedTuple):
 # next digit; ``\d(?<!\d\d)`` is a digit that follows no digit.
 _RE_NUM_YMD = re.compile(r"(\d(?<!\d\d)\d{3})([./-])(\d{1,2})\2(\d{1,2})(?!\d)")
 _RE_NUM_GEN = re.compile(r"(\d(?<!\d\d)\d?)([./-])(\d{1,2})\2(\d{4}|\d{2})(?!\d)")
+# A digit-separator-digit pair, which every candidate holds at its first
+# separator, 1 to 4 characters after its start.  Led by the separator, which
+# the engine skips to faster than to a digit; ``\d``, not ``[0-9]``, so that
+# dates written in other scripts' digits stay candidates.
+_RE_NUM_SEP = re.compile(r"[./-](?<=\d.)\d")
+_NUM_SEP_LEAD = 4
 
 
 def _day_ok(month: int, day: int) -> bool:
@@ -254,17 +268,25 @@ def _day_ok(month: int, day: int) -> bool:
 
 
 def find_numeric_dates(text: str):
-    """Complete numeric date candidates with their possible field orders."""
+    """Complete numeric date candidates with their possible field orders.
+
+    No candidate starts more than ``_NUM_SEP_LEAD`` characters before the
+    first digit-separator-digit pair, so both scans start there.
+    """
+    hit = _RE_NUM_SEP.search(text)
+    if hit is None:
+        return []
+    pos = max(0, hit.start() - _NUM_SEP_LEAD)
     candidates = []
     taken = []              # ISO spans, sorted and disjoint
-    for m in _RE_NUM_YMD.finditer(text):
+    for m in _RE_NUM_YMD.finditer(text, pos):
         start, end = m.span()
         surface, f1, f2, f3 = m.group(0, 1, 3, 4)
         candidates.append(NumericCandidate(start, end - start, surface, f1, f2, f3,
                                            True, False, False))
         taken.append((start, end))
     i = 0
-    for m in _RE_NUM_GEN.finditer(text):
+    for m in _RE_NUM_GEN.finditer(text, pos):
         start, end = m.span()
         while i < len(taken) and taken[i][1] <= start:
             i += 1
@@ -350,6 +372,8 @@ class _Scanner:
         self.lexicon = lexicon
         conn = "(?i:%s)" % _alt(lexicon.connectors)
         day_alt = r"(?:%s|\d{1,2})" % _alt(lexicon.day_ordinals)
+        rconn = "(?i:%s)" % _alt(s[::-1] for s in lexicon.connectors)
+        rday_alt = r"(?:%s|\d{1,2})" % _alt(s[::-1] for s in lexicon.day_ordinals)
 
         self.re_month = _word_pattern(lexicon.months)
         self.re_day_left = re.compile(
@@ -362,6 +386,13 @@ class _Scanner:
         self.re_day_right = re.compile(
             r"[\s,]+(?:(?:%s)[\s,]+)?(%s)(?!\w)" % (conn, day_alt))
         self.re_premod = re.compile(r"(?<!\w)(%s)[\s-]+\Z" % _alt(lexicon.pre_modifiers))
+        # The three left patterns reversed, for ``.match(rev, len(text) - end)``:
+        # each matches exactly when a forward match ends at ``end``.
+        self.rev_day_left = re.compile(
+            r"[\s,]+(?:%s[\s,]+)?%s(?:[\s,]+%s)?(?!\w)" % (rconn, rday_alt, rconn))
+        self.rev_year_left = re.compile(r"(?:[\s,]+%s)?[\s,]*\d{4}(?!\w)" % rconn)
+        self.rev_premod = re.compile(
+            r"[\s-]+(?:%s)(?!\w)" % _alt(s[::-1] for s in lexicon.pre_modifiers))
         self.re_relyear = re.compile(
             r"[\s,]+(?:(?:%s)[\s,]+)?(%s)(?!\w)" % (conn, _alt(lexicon.relative_years)))
         numword = _alt(lexicon.number_words)
@@ -387,7 +418,9 @@ class _Scanner:
         ``re_year_left`` or ``re_premod`` can.  A match starting before it
         would hold every token in it, so the leftmost match in the window is
         the leftmost in the whole prefix; lookbehinds still see the text
-        before the window.  ``rev`` is ``text`` reversed.
+        before the window.  ``rev`` is ``text`` reversed.  ``_scan_month``
+        asks for a window only once a reversed probe has shown that a match
+        ends at ``end``, and at most once per month anchor.
         """
         w = self.re_left_window.match(rev, len(text) - end)
         return 0 if w is None else len(text) - w.end()
@@ -473,28 +506,33 @@ def _scan_month(text, rev, m, sc: _Scanner):
     day = year = rel_offset = None
     spelled_thousand = False
 
-    # re_day_left, re_year_left and re_premod all end at the anchor, so they
-    # share one window; a year before a day ends elsewhere and gets its own.
-    window = sc.left_window(text, rev, anchor)
-    lm = sc.re_day_left.search(text, window, anchor)
-    if lm is not None:
+    # Each left search runs only after its reversed probe shows that it
+    # matches.  re_day_left, re_year_left and re_premod all end at the anchor,
+    # so they share one window; a year before a day ends elsewhere and gets
+    # its own.
+    at = len(text) - anchor
+    window = None
+    if sc.rev_day_left.match(rev, at) is not None:
+        window = sc.left_window(text, rev, anchor)
+        lm = sc.re_day_left.search(text, window, anchor)
         parsed = sc.parse_day(lm.group(2))
         if parsed is not None:
             day = parsed
             start = lm.start(1) if lm.group(1) else lm.start(2)
-            ym = sc.search_left(sc.re_year_left, text, rev, start)
-            if ym is not None:
+            if sc.rev_year_left.match(rev, len(text) - start) is not None:
+                ym = sc.search_left(sc.re_year_left, text, rev, start)
                 year = int(ym.group(1))
                 start = ym.start(1)
             else:
                 # A leading connector only belongs to the span when a year
                 # precedes it ("1999, the 2nd of May").
                 start = lm.start(2)
-    if day is None:
+    if day is None and sc.rev_year_left.match(rev, at) is not None:
+        if window is None:
+            window = sc.left_window(text, rev, anchor)
         ym = sc.re_year_left.search(text, window, anchor)
-        if ym is not None:
-            year = int(ym.group(1))
-            start = ym.start(1)
+        year = int(ym.group(1))
+        start = ym.start(1)
 
     pos = end
     if day is None and year is None:
@@ -544,9 +582,11 @@ def _scan_month(text, rev, m, sc: _Scanner):
     elif year is not None:
         kind = DateKind.YEAR_MONTH
     else:
-        pm = sc.re_premod.search(text, window, anchor)
-        if pm is None:
+        if sc.rev_premod.match(rev, at) is None:
             return None
+        if window is None:
+            window = sc.left_window(text, rev, anchor)
+        pm = sc.re_premod.search(text, window, anchor)
         start, kind = pm.start(1), DateKind.RELATIVE_MONTH
         rel_offset = sc.lexicon.pre_modifiers[pm.group(1)]
     return LexicalCandidate(start, end - start, text[start:end], kind,

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from placetime import dates
 from placetime.annotate import strip_inline
@@ -376,6 +378,63 @@ class TestDates:
                              "--profiles", str(profile_dir))
         assert code == 0
         assert "1918-11-11" in [r["normal"] for r in records(out)]
+
+
+# --------------------------------------------------------------------------
+# generated text through `dates`, in both output forms
+
+# Any Unicode but the inline markers' own "[", "]" and "|", which stripping
+# would read as markers.
+_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="[]|"),
+                    max_size=6)
+_SEP_RUN = st.text(" \t\n\r,.-/\u00a0\u2028", min_size=1, max_size=4)
+_NUMERIC_DATE = st.tuples(st.sampled_from(["1", "12", "31", "2003", "\u0661"]),
+                          st.sampled_from("/.-"), st.sampled_from(["2", "05", "13", "\u0662"]),
+                          st.sampled_from(["03", "99", "2003", "1"])).map(
+    lambda t: t[0] + t[1] + t[2] + t[1] + t[3])
+
+
+_LEXICON_EN = dates.load_date_lexicon(LEX_EN)
+_EN_SURFACE = st.sampled_from(sorted({
+    *_LEXICON_EN.months, *_LEXICON_EN.day_ordinals, *_LEXICON_EN.relative_days,
+    *_LEXICON_EN.pre_modifiers, *_LEXICON_EN.relative_years, *_LEXICON_EN.connectors,
+    *_LEXICON_EN.number_words, "1999", "3"}))
+_MONTH_DATE = st.tuples(st.sampled_from(["", "3 ", "the 2nd of ", "next "]),
+                        st.sampled_from(sorted(_LEXICON_EN.months)),
+                        st.sampled_from(["", " 1999", ", 2003", " last year"])).map("".join)
+# Pieces, each maybe repeated, then glued to the next or separated from it.
+_DATES_TEXT = st.lists(
+    st.tuples(_ANY_TEXT | _EN_SURFACE | _MONTH_DATE | _NUMERIC_DATE, st.integers(1, 3),
+              st.just("") | st.just(" ") | _SEP_RUN).map(lambda t: t[0] * t[1] + t[2]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_DATES_TEXT)
+def test_dates_records_address_the_text(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    doc, out = base / "e2e.txt", base / "e2e.out"
+    doc.write_bytes(text.encode("utf-8"))
+    argv = ["dates", str(doc), "--lexicon", LEX_EN, "--lang", "en",
+            "--reference", "2003-03-01", "--out", str(out)]
+
+    assert main(argv) == 0
+    spans = []
+    with open(out, encoding="utf-8", newline="") as f:
+        lines = f.read().split("\n")   # a surface may hold U+2028, which splitlines splits at
+    assert lines.pop() == ""
+    for line in lines:
+        record = json.loads(line)
+        assert record["type"] == "date"
+        offset, length = record["offset"], record["length"]
+        assert length > 0 and text[offset:offset + length] == record["surface"]
+        spans.append((offset, offset + length))
+    assert spans == sorted(spans)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    assert main(argv + ["--format", "inline"]) == 0
+    with open(out, encoding="utf-8", newline="") as f:
+        assert strip_inline(f.read()) == text
 
 
 class TestPlaces:

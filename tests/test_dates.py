@@ -3,7 +3,7 @@ import datetime
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from placetime import dates
@@ -49,6 +49,32 @@ class TestNormalizedDate:
                         assert not valid
                     else:
                         assert valid
+
+    @pytest.mark.parametrize("kind, fields, message", [
+        (DateKind.YEAR_MONTH, {"year": 2003, "month": 5, "day": 2},
+         "year_month: field day unexpected for kind DateKind.YEAR_MONTH"),
+        (DateKind.RELATIVE_DAY, {"month": 5, "rel_offset": 1},
+         "relative_day: field month unexpected for kind DateKind.RELATIVE_DAY"),
+        (DateKind.FULL, {"year": 2003, "month": 5},
+         "full: field day required for kind DateKind.FULL"),
+        (DateKind.MONTH_RELATIVE_YEAR, {"month": 5},
+         "month_relative_year: field rel_offset required for kind "
+         "DateKind.MONTH_RELATIVE_YEAR"),
+        (DateKind.MONTH_DAY, {"month": 13, "day": 2}, "month 13 outside 1..12"),
+        (DateKind.YEAR_MONTH, {"year": 2003, "month": 0}, "month 0 outside 1..12"),
+        (DateKind.FULL, {"year": 2003, "month": 2, "day": 29},
+         "day 29 invalid for month 2 year 2003"),
+        (DateKind.FULL, {"year": 1900, "month": 2, "day": 29},
+         "day 29 invalid for month 2 year 1900"),
+        (DateKind.MONTH_DAY, {"month": 4, "day": 31}, "day 31 invalid for month 4 year None"),
+        (DateKind.FULL, {"year": 2004, "month": 1, "day": 0},
+         "day 0 invalid for month 1 year 2004"),
+    ])
+    def test_rule_messages(self, kind, fields, message):
+        # --diagnostics prints these messages as discard reasons.
+        with pytest.raises(ValueError) as info:
+            NormalizedDate(kind, **fields)
+        assert str(info.value) == message
 
     def test_calendar_validity(self):
         with pytest.raises(ValueError):
@@ -486,7 +512,8 @@ class TestYearSharedByNeighbours:
 # --------------------------------------------------------------------------
 # the token-bounded left-context search against a search over the whole prefix
 
-_LEFT_PATTERNS = ("re_day_left", "re_year_left", "re_premod")
+# Each names a forward pattern ``re_<name>`` and its reversed probe ``rev_<name>``.
+_LEFT_PATTERNS = ("day_left", "year_left", "premod")
 # Each run draws from one of these alphabets, so that runs the patterns can
 # cross ("[\s,]+", "[\s-]+") are as likely as runs they cannot.
 _SEPARATOR_RUNS = st.sampled_from([" ", " ,", " \t\n\u00a0", " -", " \t\n,-\u00a0"]).flatmap(
@@ -505,7 +532,6 @@ def _left_words(lexicon):
 
 def _check_left_searches(lexicon, data):
     """Every left search, windowed, equals the search over the whole prefix."""
-    sc = lexicon._scanner
     parts = data.draw(st.lists(st.tuples(_left_words(lexicon), _SEPARATOR_RUNS), max_size=24))
     text = ""
     ends = {0}
@@ -513,14 +539,19 @@ def _check_left_searches(lexicon, data):
         text += word + run
         ends.add(len(text))
     ends.update(data.draw(st.lists(st.integers(0, len(text)), max_size=4)))
+    _check_left_text(lexicon._scanner, text, ends)
+
+
+def _check_left_text(sc, text, ends):
+    """At each end, every windowed left search equals the search over the whole
+    prefix, and its reversed probe fails exactly when that search does."""
     rev = text[::-1]
     for name in _LEFT_PATTERNS:
-        pattern = getattr(sc, name)
-        if pattern is None:
-            continue
+        pattern, probe = getattr(sc, "re_" + name), getattr(sc, "rev_" + name)
         for end in ends:
             want = _found(pattern.search(text[:end]))
             assert _found(sc.search_left(pattern, text, rev, end)) == want
+            assert (probe.match(rev, len(text) - end) is None) == (want is None), (name, end)
 
 
 def _found(m):
@@ -563,13 +594,44 @@ def _joined(words, max_size=30):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_joined(st.sampled_from(("2003", "1999", "12", "31", "5", "03"))))
+@given(_joined(st.sampled_from(("2003", "1999", "12", "31", "5", "03", "x", "May", "\u0663"))))
 def test_numeric_iso_overlap_equals_pairwise(text):
     iso = [m.span() for m in dates._RE_NUM_YMD.finditer(text)]
     general = [m.span() for m in dates._RE_NUM_GEN.finditer(text)
                if not any(m.start() < e and m.end() > s for s, e in iso)]
     got = [(c.offset, c.offset + c.length) for c in find_numeric_dates(text)]
     assert got == sorted(iso + general)
+
+
+class TestNumericPrefilter:
+    """Both numeric scans start a few characters before the first
+    digit-separator-digit pair, and do not run without one."""
+
+    @pytest.mark.parametrize("surface", ["1/2/03", "12.5.2003", "2003-05-06", "31-12-99"])
+    @pytest.mark.parametrize("before", ["", "7 ", "x", "12 ", "- ", "a.b/c "])
+    def test_first_separator_within_lead(self, before, surface):
+        # The first separator lies 1, 2 or 4 characters after the start.
+        found = [(c.offset, c.surface) for c in find_numeric_dates(before + surface)]
+        assert found == [(len(before), surface)]
+
+    def test_candidate_at_end_of_long_text(self):
+        text = "no digits here, only words. " * 2000 + "31.12.2003"
+        found = [(c.offset, c.surface) for c in find_numeric_dates(text)]
+        assert found == [(len(text) - 10, "31.12.2003")]
+
+    @pytest.mark.parametrize("text", ["", "2003 05 06", "1-a a-1 12..5 5/ 6 -7 8-",
+                                      "in 1999, then 2003; 12 / 5", "4.", ".4"])
+    def test_no_digit_separator_digit_pair(self, text):
+        assert find_numeric_dates(text) == []
+
+    @pytest.mark.parametrize("text, fields", [
+        ("\u0661/\u0662/\u0660\u0663", ("\u0661", "\u0662", "\u0660\u0663", False)),
+        ("\u0662\u0660\u0660\u0663-\u0660\u0665-\u0660\u0666",
+         ("\u0662\u0660\u0660\u0663", "\u0660\u0665", "\u0660\u0666", True)),
+    ])
+    def test_non_ascii_digits_stay_candidates(self, text, fields):
+        (c,) = find_numeric_dates("on " + text)
+        assert (c.offset, c.surface, c.f1, c.f2, c.f3, c.ymd) == (3, text, *fields)
 
 
 @settings(max_examples=200, deadline=None)
@@ -789,6 +851,36 @@ def test_generated_lexicon_windowed_left_search_equals_unbounded(tmp_path_factor
     lexicon = _load_generated(tmp_path_factory, source)
     assume(lexicon is not None)
     _check_left_searches(lexicon, data)
+
+
+# A lexicon whose day ordinal is "," and whose connector holds a month name:
+# on "May.99 , May" the forward re_day_left match is "May.99 , " and the
+# reversed probe's match only "99 , ", so a probe can tell whether a match
+# ends at the anchor, but not where it starts.
+_PROBE_SPAN_LEXICON = ("[months]\n"
+                       + "".join("%d = m%d\n" % (i, i) for i in range(1, 13) if i != 5)
+                       + "5 = May\n[day_ordinals]\n2 = ,\n[connectors]\nMay.99\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=_lexicon_file(),
+       text=st.lists(_PIECES | st.sampled_from(["1999", "3", "31", " , ", "\t", "May.99"]),
+                     max_size=30).map("".join))
+@example(source=_PROBE_SPAN_LEXICON, text="May.99 , May")
+def test_generated_lexicon_probes_equal_forward_search(tmp_path_factory, source, text):
+    # Surfaces made of punctuation and word pieces, glued to each other
+    # without separators, and every end in the text.
+    lexicon = _load_generated(tmp_path_factory, source)
+    assume(lexicon is not None)
+    _check_left_text(lexicon._scanner, text, range(len(text) + 1))
+
+
+def test_probe_span_lexicon(tmp_path_factory):
+    # The explicit example above needs this lexicon to load, with these spans.
+    sc = _load_generated(tmp_path_factory, _PROBE_SPAN_LEXICON)._scanner
+    text = "May.99 , May"
+    assert sc.re_day_left.search(text, 0, 9).span() == (0, 9)
+    assert sc.rev_day_left.match(text[::-1], len(text) - 9).span() == (3, 8)   # "99 , "
 
 
 def _oracle_records(text, lexicon, *args):
