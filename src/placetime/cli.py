@@ -15,6 +15,7 @@ import contextlib
 import datetime
 import json
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -189,6 +190,9 @@ def _date_lines(path, matches):
     return out
 
 
+_RE_REFERENCE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _date_span(m):
     return m.offset, m.length, "date:%s" % m.normal.kind.value, m.normal.to_string()
 
@@ -199,6 +203,9 @@ def cmd_dates(args):
     reference = None
     if args.reference:
         try:
+            # fromisoformat alone takes other ISO 8601 forms from Python 3.11 on.
+            if not _RE_REFERENCE.fullmatch(args.reference):
+                raise ValueError("expected YYYY-MM-DD")
             reference = datetime.date.fromisoformat(args.reference)
         except ValueError as exc:
             raise ConfigError("bad --reference %r: %s" % (args.reference, exc)) from exc
@@ -321,6 +328,7 @@ def cmd_map(args):
     hits_sum = 0.0  # kept small enough that every percentage of it is finite
     dots = {}  # place_id -> (lat, lon, country) of its first record
     mentions = Counter()  # place_id -> its geo records
+    countries = set()  # the country codes that passed check_country
     records = 0
     for path in args.annotations:
         for lineno, line in enumerate(read_lines(path, "annotations"), start=1):
@@ -344,6 +352,9 @@ def cmd_map(args):
                         country, n = t["country"], t["hits"]
                         if not isinstance(country, str):
                             raise ValueError("bad tallies country %r" % (country,))
+                        if country not in countries:
+                            check_country(country)
+                            countries.add(country)
                         if (isinstance(n, bool) or not isinstance(n, (int, float))
                                 or not 0 <= n <= sys.float_info.max):
                             raise ValueError("bad tallies hits %r" % (n,))
@@ -357,6 +368,9 @@ def cmd_map(args):
                                               record["lon"], record["country"])
                     if type(pid) is not int or not isinstance(country, str):
                         raise ValueError("bad place_id %r or country %r" % (pid, country))
+                    if country not in countries:
+                        check_country(country)
+                        countries.add(country)
                     if type(lat) is bool or type(lon) is bool:
                         raise ValueError("bad coordinates (%r, %r)" % (lat, lon))
                     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):

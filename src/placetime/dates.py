@@ -17,11 +17,11 @@ month and relative-day alternations are grouped by the first character of
 the lexicon's own surfaces, each group checking the word boundary only
 after that character.  A left-context search runs only after its reversed
 pattern, matched on the reversed text at the month, shows that a match
-ends there.  It is bounded by token count: it looks only as many
-separator-delimited tokens back from the month as the lexicon's longest
-connector, day surface, year and pre-modifier could fill, which finds the
-same match as a search over the whole prefix.  The day, year and
-pre-modifier searches that end at the month share one such window.
+ends there; ``_Scanner.probe_left`` runs the two in turn.  The search is
+bounded by token count: it looks only as many separator-delimited tokens
+back from the month as the lexicon's longest connector, day surface, year
+and pre-modifier could fill, which finds the same match as a search over
+the whole prefix.
 Overlaps between candidates are resolved against sorted spans, so
 extraction takes time linear in document length.  Matches carry character
 offset, length and a typed normal form; relative expressions can be
@@ -411,23 +411,23 @@ class _Scanner:
         self.re_left_window = re.compile(
             r"[\s,-]*[^\s,-]+(?:[\s,-]+[^\s,-]+){%d}" % left_tokens)
 
-    def left_window(self, text, rev, end):
-        """The start of the window before ``end`` that a left search covers.
+    def search_left(self, pattern, text, rev, end):
+        """``pattern.search(text[:end])`` for a ``\\Z``-anchored left pattern.
 
-        The window holds one token more than any match of ``re_day_left``,
+        ``rev`` is ``text`` reversed.  The search covers a window before
+        ``end`` that holds one token more than any match of ``re_day_left``,
         ``re_year_left`` or ``re_premod`` can.  A match starting before it
         would hold every token in it, so the leftmost match in the window is
-        the leftmost in the whole prefix; lookbehinds still see the text
-        before the window.  ``rev`` is ``text`` reversed.  ``_scan_month``
-        asks for a window only once a reversed probe has shown that a match
-        ends at ``end``, and at most once per month anchor.
+        the leftmost in the whole prefix; lookbehinds still see the text before it.
         """
         w = self.re_left_window.match(rev, len(text) - end)
-        return 0 if w is None else len(text) - w.end()
+        return pattern.search(text, 0 if w is None else len(text) - w.end(), end)
 
-    def search_left(self, pattern, text, rev, end):
-        """``pattern.search(text[:end])`` for a ``\\Z``-anchored left pattern."""
-        return pattern.search(text, self.left_window(text, rev, end), end)
+    def probe_left(self, pattern, probe, text, rev, end):
+        """``search_left``, or None when the reversed ``probe`` shows no match ends there."""
+        if probe.match(rev, len(text) - end) is None:
+            return None
+        return self.search_left(pattern, text, rev, end)
 
     def parse_day(self, surface: str):
         day_ordinals = self.lexicon.day_ordinals
@@ -502,71 +502,53 @@ def find_lexical_dates(text: str, lexicon: DateLexicon):
 def _scan_month(text, rev, m, sc: _Scanner):
     month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
-    anchor = start
     day = year = rel_offset = None
     spelled_thousand = False
 
-    # Each left search runs only after its reversed probe shows that it
-    # matches.  re_day_left, re_year_left and re_premod all end at the anchor,
-    # so they share one window; a year before a day ends elsewhere and gets
-    # its own.
-    at = len(text) - anchor
-    window = None
-    if sc.rev_day_left.match(rev, at) is not None:
-        window = sc.left_window(text, rev, anchor)
-        lm = sc.re_day_left.search(text, window, anchor)
-        parsed = sc.parse_day(lm.group(2))
-        if parsed is not None:
-            day = parsed
-            start = lm.start(1) if lm.group(1) else lm.start(2)
-            if sc.rev_year_left.match(rev, len(text) - start) is not None:
-                ym = sc.search_left(sc.re_year_left, text, rev, start)
-                year = int(ym.group(1))
-                start = ym.start(1)
-            else:
-                # A leading connector only belongs to the span when a year
-                # precedes it ("1999, the 2nd of May").
-                start = lm.start(2)
-    if day is None and sc.rev_year_left.match(rev, at) is not None:
-        if window is None:
-            window = sc.left_window(text, rev, anchor)
-        ym = sc.re_year_left.search(text, window, anchor)
+    lm = sc.probe_left(sc.re_day_left, sc.rev_day_left, text, rev, m.start(1))
+    if lm is not None:
+        day = sc.parse_day(lm.group(2))
+    if day is None:
+        ym = sc.probe_left(sc.re_year_left, sc.rev_year_left, text, rev, m.start(1))
+    else:
+        start = lm.start(1) if lm.group(1) else lm.start(2)
+        ym = sc.probe_left(sc.re_year_left, sc.rev_year_left, text, rev, start)
+        if ym is None:
+            # A leading connector only belongs to the span when a year
+            # precedes it ("1999, the 2nd of May").
+            start = lm.start(2)
+    if ym is not None:
         year = int(ym.group(1))
         start = ym.start(1)
 
-    pos = end
     if day is None and year is None:
-        rm = sc.re_relyear.match(text, pos)
+        rm = sc.re_relyear.match(text, end)
         if rm is not None:
             rel_offset = sc.lexicon.relative_years[rm.group(1)]
             end = rm.end(1)
     if rel_offset is None:
         for _ in range(2):
-            matched = False
             if year is None:
-                rm = sc.re_year_right.match(text, pos)
+                rm = sc.re_year_right.match(text, end)
                 if rm is not None:
                     year = int(rm.group(1))
-                    pos = end = rm.end(1)
-                    matched = True
-                elif (rm := sc.re_numseq.match(text, pos)) is not None:
-                    words = _RE_WORD_SEP.split(rm.group(1))
-                    value, used_thousand = sc.compose_spelled_year(words)
-                    if value is not None:
-                        year = value
-                        spelled_thousand = used_thousand
-                        pos = end = rm.end(1)
-                        matched = True
-            if not matched and day is None:
-                rm = sc.re_day_right.match(text, pos)
+                    end = rm.end(1)
+                    continue
+                rm = sc.re_numseq.match(text, end)
                 if rm is not None:
-                    parsed = sc.parse_day(rm.group(1))
-                    if parsed is not None:
-                        day = parsed
-                        pos = end = rm.end(1)
-                        matched = True
-            if not matched:
-                break
+                    words = _RE_WORD_SEP.split(rm.group(1))
+                    year, spelled_thousand = sc.compose_spelled_year(words)
+                    if year is not None:
+                        end = rm.end(1)
+                        continue
+            if day is None:
+                rm = sc.re_day_right.match(text, end)
+                if rm is not None:
+                    day = sc.parse_day(rm.group(1))
+                    if day is not None:
+                        end = rm.end(1)
+                        continue
+            break
 
     # The thousand form of a spelled year only counts inside a full date.
     if spelled_thousand and day is None:
@@ -582,11 +564,9 @@ def _scan_month(text, rev, m, sc: _Scanner):
     elif year is not None:
         kind = DateKind.YEAR_MONTH
     else:
-        if sc.rev_premod.match(rev, at) is None:
+        pm = sc.probe_left(sc.re_premod, sc.rev_premod, text, rev, m.start(1))
+        if pm is None:
             return None
-        if window is None:
-            window = sc.left_window(text, rev, anchor)
-        pm = sc.re_premod.search(text, window, anchor)
         start, kind = pm.start(1), DateKind.RELATIVE_MONTH
         rel_offset = sc.lexicon.pre_modifiers[pm.group(1)]
     return LexicalCandidate(start, end - start, text[start:end], kind,

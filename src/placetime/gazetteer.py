@@ -181,22 +181,19 @@ def _located(where, i, message):
 def _first_token_index(named, unindexable, entry):
     """First token -> [entry(key, values)], longest key first.
 
-    ``named`` yields (surface, value); ``key`` lists its tokens; same-key values keep their order.
-    Each entry is ``(key, candidates, trigger)`` and needs candidates or a trigger, which
-    :func:`~placetime.geotag.tag_places` then copies into every match unchecked.
+    ``named`` yields (surface, value); ``key`` lists its tokens (the keys of
+    :func:`split_words`); same-key values keep their order.  Each entry is
+    ``(key, candidates, trigger)``.
     """
     by_key = {}
     for surface, value in named:
-        key = tuple(tokenize(surface).texts)
+        key = tuple(split_words(surface)[1])
         if not key:
             raise LoadError(unindexable(surface, value))
         by_key.setdefault(key, []).append(value)
     first = {}
     for key in sorted(by_key, key=lambda k: (-len(k), k)):
-        made = entry(list(key), by_key[key])
-        if not made[1] and made[2] is None:
-            raise ValueError("a name table entry needs candidates or a trigger")
-        first.setdefault(key[0], []).append(made)
+        first.setdefault(key[0], []).append(entry(list(key), by_key[key]))
     return first
 
 

@@ -14,9 +14,9 @@ trigger's country code.
 
 :class:`GeoMatch` and :class:`CountryTally` are named tuples, built
 positionally once per match and per country.  A match takes the candidates
-and trigger of its table entry unchecked: the rule that an entry has place
-ids or a trigger is checked once per entry at load, where
-:func:`~placetime.gazetteer._first_token_index` makes the entries.
+and trigger of its table entry unchecked: every entry has place ids or a
+trigger, since a place entry holds the ids of at least one record and a
+trigger entry its trigger.
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ from collections import Counter
 from pathlib import Path
 
 from placetime import geotag, mapviz
-from placetime.errors import ConfigError, read_lines
+from placetime.errors import ConfigError, check_country, read_lines
 
 
 def _place_dot(record):
     pid, lat, lon, country = record["place_id"], record["lat"], record["lon"], record["country"]
     if not isinstance(pid, int) or not isinstance(country, str):
         raise ValueError("bad place_id %r or country %r" % (pid, country))
+    check_country(country)
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise ValueError("coordinates (%r, %r) out of range" % (lat, lon))
     return mapviz.PlaceDot(pid, lat, lon, country, 1)
@@ -54,6 +55,7 @@ def cmd_map(args):
                         country, n = t["country"], t["hits"]
                         if not isinstance(country, str):
                             raise ValueError("bad tallies country %r" % (country,))
+                        check_country(country)
                         if (isinstance(n, bool) or not isinstance(n, (int, float))
                                 or not 0 <= n <= sys.float_info.max):
                             raise ValueError("bad tallies hits %r" % (n,))

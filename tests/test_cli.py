@@ -169,12 +169,17 @@ class TestDates:
         assert "[[date:" in out
         assert strip_inline(out) == text
 
-    def test_bad_reference_exit_2(self, capsys, tmp_path):
+    # Python 3.11's date.fromisoformat also takes the week date and the basic form.
+    @pytest.mark.parametrize("reference", ["03/01/2003", "2003-W01-1", "20030101",
+                                           "2003-1-01", "2003-02-30", "\u0662003-01-01"])
+    def test_bad_reference_exit_2(self, capsys, tmp_path, reference):
         doc = tmp_path / "doc.txt"
-        doc.write_text("21.2.1983")
+        doc.write_text("21.2.1983 yesterday")
         code, out, err = run(capsys, "dates", str(doc), "--lexicon", LEX_EN,
-                             "--reference", "03/01/2003")
-        assert code == 2
+                             "--reference", reference)
+        assert code == 2 and out == ""
+        assert err.startswith("placetime: bad --reference %r: " % reference)
+        assert len(err.splitlines()) == 1
 
     def test_empty_file(self, capsys, tmp_path):
         doc = tmp_path / "empty.txt"
@@ -699,6 +704,12 @@ class TestMap:
         pytest.param('{"type": "tallies", "tallies": [{"country": 5, "hits": 1}, '
                      '{"country": "FR", "hits": 1}]}',
                      "bad tallies country 5", id="tally-country-not-string"),
+        pytest.param('{"type": "tallies", "tallies": [{"country": "x\\ny", "hits": 1}]}',
+                     "bad country code 'x\\ny'", id="tally-country-newline"),
+        pytest.param('{"type": "geo", "place_id": 31, "lat": 1, "lon": 2, "country": "zz\\"<>"}',
+                     "bad country code 'zz\"<>'", id="geo-country-markup"),
+        pytest.param('{"type": "geo", "place_id": 9, "lat": 48.85, "lon": 2.35, "country": "Fr"}',
+                     "bad country code 'Fr'", id="later-record-bad-country"),
         pytest.param('{"type": "tallies", "tallies": [{"country": "FR", "hits": 1e308}, '
                      '{"country": "DE", "hits": 1e308}]}',
                      "tallies hits sum 1e+308 is too large", id="tally-hits-overflow"),

@@ -544,14 +544,20 @@ def _check_left_searches(lexicon, data):
 
 def _check_left_text(sc, text, ends):
     """At each end, every windowed left search equals the search over the whole
-    prefix, and its reversed probe fails exactly when that search does."""
+    prefix, its reversed probe fails exactly when that search does, and
+    ``probe_left`` is None where the probe fails and the windowed search
+    elsewhere."""
     rev = text[::-1]
     for name in _LEFT_PATTERNS:
         pattern, probe = getattr(sc, "re_" + name), getattr(sc, "rev_" + name)
         for end in ends:
             want = _found(pattern.search(text[:end]))
-            assert _found(sc.search_left(pattern, text, rev, end)) == want
-            assert (probe.match(rev, len(text) - end) is None) == (want is None), (name, end)
+            found = _found(sc.search_left(pattern, text, rev, end))
+            probed = probe.match(rev, len(text) - end) is not None
+            assert found == want
+            assert probed == (want is not None), (name, end)
+            assert (_found(sc.probe_left(pattern, probe, text, rev, end))
+                    == (found if probed else None)), (name, end)
 
 
 def _found(m):

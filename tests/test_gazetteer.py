@@ -216,9 +216,9 @@ class TestTriggers:
 
     def test_each_surface_tokenized_once(self, data_dir, monkeypatch):
         surfaces = []
-        tokenize = gazetteer.tokenize
-        monkeypatch.setattr(gazetteer, "tokenize",
-                            lambda text: surfaces.append(text) or tokenize(text))
+        split_words = gazetteer.split_words
+        monkeypatch.setattr(gazetteer, "split_words",
+                            lambda text: surfaces.append(text) or split_words(text))
         triggers = gazetteer.load_triggers(data_dir / "triggers" / "triggers.tsv")
         assert sorted(surfaces) == sorted(t.surface for t in triggers.triggers)
 
@@ -293,11 +293,6 @@ class TestNameTable:
         assert index._first["Congo"] == [(["Congo", "River"], (2,), None),
                                          (["Congo"], (1,), None)]
         assert len(triggers._first["Congo"]) == 3
-
-    def test_entry_needs_candidates_or_a_trigger(self):
-        with pytest.raises(ValueError, match="needs candidates or a trigger"):
-            gazetteer._first_token_index([("Paris", 0)], None,
-                                         lambda key, values: (key, (), None))
 
 
 class TestProposeStopWords:
