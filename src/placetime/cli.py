@@ -140,8 +140,10 @@ def _run_documents(args, analyse):
 
 
 # One encoder for every record: json.dumps builds a new one per call when
-# given any non-default argument.
+# given any non-default argument.  A string goes straight to the function
+# that encoder calls for one.
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
+_encode_str = json.encoder.encode_basestring
 
 
 # --------------------------------------------------------------------------
@@ -178,14 +180,15 @@ def _date_lines(path, matches):
     """The ``date`` record of each match.
 
     The head up to ``offset`` is encoded once per call, and only the surface
-    per record: a kind value and a normal form are ASCII with nothing to escape.
+    per record: a kind label and a normal form are ASCII with nothing to escape.
     """
-    head = '{"type": "date", "path": %s, "offset": ' % _encode_json(path)
+    head = '{"type": "date", "path": %s, "offset": ' % _encode_str(path)
     out = []
     for offset, length, surface, normal, resolved in matches:
+        kind = normal.kind
         out.append('%s%d, "length": %d, "surface": %s, "kind": "%s", "normal": "%s"%s}\n'
-                   % (head, offset, length, _encode_json(surface), normal.kind.value,
-                      normal.to_string(),
+                   % (head, offset, length, _encode_str(surface), kind.label,
+                      kind.form % kind.values_of(normal),
                       "" if resolved is None else ', "resolved": "%s"' % resolved.to_string()))
     return out
 
@@ -194,14 +197,15 @@ _RE_REFERENCE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def _date_span(m):
-    return m.offset, m.length, "date:%s" % m.normal.kind.value, m.normal.to_string()
+    kind = m.normal.kind
+    return m.offset, m.length, "date:" + kind.label, kind.form % kind.values_of(m.normal)
 
 
 def cmd_dates(args):
     decode = _decoder(args)
     lexicon = dates.load_date_lexicon(args.lexicon)
     reference = None
-    if args.reference:
+    if args.reference is not None:
         try:
             # fromisoformat alone takes other ISO 8601 forms from Python 3.11 on.
             if not _RE_REFERENCE.fullmatch(args.reference):
@@ -246,7 +250,7 @@ def _geo_lines():
         return ", " + _encode_json(fields)[1:] + "\n"
 
     def lines(path, pairs):
-        head = '{"type": "geo", "path": %s, "offset": ' % _encode_json(path)
+        head = '{"type": "geo", "path": %s, "offset": ' % _encode_str(path)
         out = []
         for m, place in pairs:
             key = place if isinstance(place, str) else place.id
@@ -254,7 +258,7 @@ def _geo_lines():
             if rest is None:
                 rest = tails[key] = tail(place)
             out.append('%s%d, "length": %d, "surface": %s%s'
-                       % (head, m.offset, m.length, _encode_json(m.surface), rest))
+                       % (head, m.offset, m.length, _encode_str(m.surface), rest))
         return out
     return lines
 
@@ -267,7 +271,7 @@ def _tallies_line(path, tallies):
     ``repr`` is what ``json`` writes.
     """
     return '{"type": "tallies", "path": %s, "tallies": [%s]}\n' % (
-        _encode_json(path),
+        _encode_str(path),
         ", ".join(['{"country": "%s", "hits": %d, "percentage": %r}' % t for t in tallies]))
 
 

@@ -22,7 +22,10 @@ bounded by token count: it looks only as many separator-delimited tokens
 back from the month as the lexicon's longest connector, day surface, year
 and pre-modifier could fill, which finds the same match as a search over
 the whole prefix.
-Overlaps between candidates are resolved against sorted spans, so
+Overlaps between candidates are resolved in one walk over the matches in
+offset order: a match that starts at or after the furthest end seen so far
+opens a new run, a run of one is kept as it is, and only a run of
+overlapping matches goes through the longest-then-leftmost choice, so
 extraction takes time linear in document length.  Matches carry character
 offset, length and a typed normal form; relative expressions can be
 resolved against a reference date.  Candidates and matches are plain
@@ -64,6 +67,7 @@ class DateKind(Enum):
     def __new__(cls, value, fields, form):
         kind = object.__new__(cls)
         kind._value_ = value
+        kind.label = value      # a plain attribute: ``value`` is a property
         kind.fields = fields
         kind.present = tuple(name in fields for name in _FIELDS)
         kind.form = form
@@ -646,6 +650,52 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
 _offset = operator.attrgetter("offset")
 
 
+def _resolve_overlaps(run):
+    """The matches of a run that the longest-then-leftmost choice keeps, sorted by offset.
+
+    Kept matches stay sorted by offset and disjoint, so their ends are sorted
+    too and only the last kept match starting before a candidate's end can
+    overlap it.
+    """
+    run.sort(key=lambda m: (-m.length, m.offset))
+    kept = []
+    for m in run:
+        i = bisect.bisect_left(kept, m.offset + m.length, key=_offset)
+        if i and kept[i - 1].offset + kept[i - 1].length > m.offset:
+            continue
+        kept.insert(i, m)
+    return kept
+
+
+def _drop_overlaps(matches):
+    """The matches that overlapping ones do not outrank, sorted by offset.
+
+    In offset order, a match that starts at or after the furthest end seen so
+    far opens a new run; the runs are the connected parts of the overlap
+    relation, so resolving each on its own keeps what resolving all at once
+    would.  A run of one is kept as it is.
+    """
+    kept = []
+    run = None              # the current run, once a second match joins it
+    reach = 0               # the furthest end of the current run
+    for m in sorted(matches, key=_offset):
+        start = m.offset
+        if start < reach:
+            if run is None:
+                run = [kept.pop()]
+            run.append(m)
+            reach = max(reach, start + m.length)
+            continue
+        if run is not None:
+            kept += _resolve_overlaps(run)
+            run = None
+        kept.append(m)
+        reach = start + m.length
+    if run is not None:
+        kept += _resolve_overlaps(run)
+    return kept
+
+
 def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | None = None,
                   default_order: str | None = None, reject_two_digit_years: bool = False,
                   diagnostics=None):
@@ -655,20 +705,11 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     if default not in (ORDER_DMY, ORDER_MDY):
         raise ConfigError("default order must be dmy or mdy, got %r" % default_order)
     order = infer_document_order(numeric, default)
-    matches = [m for cand in numeric + find_lexical_dates(text, lexicon)
-               if (m := normalize_match(cand, order, reject_two_digit_years, diagnostics))
-               is not None]
-
-    # Overlaps keep the longest match, then the leftmost.  Kept matches stay
-    # sorted by offset and disjoint, so their ends are sorted too and only the
-    # last kept match starting before a candidate's end can overlap it.
-    matches.sort(key=lambda m: (-m.length, m.offset))
-    kept = []
-    for m in matches:
-        i = bisect.bisect_left(kept, m.offset + m.length, key=_offset)
-        if i and kept[i - 1].offset + kept[i - 1].length > m.offset:
-            continue
-        kept.insert(i, m)
+    # Overlaps keep the longest match, then the leftmost, within each run of
+    # overlapping matches.
+    kept = _drop_overlaps([
+        m for cand in numeric + find_lexical_dates(text, lexicon)
+        if (m := normalize_match(cand, order, reject_two_digit_years, diagnostics)) is not None])
 
     if reference is not None:
         for i, m in enumerate(kept):

@@ -1,11 +1,12 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from placetime import dates
+from placetime import dates, gazetteer
 from placetime.annotate import strip_inline
 from placetime.cli import DATA_DIR, main
 
@@ -170,7 +171,7 @@ class TestDates:
         assert strip_inline(out) == text
 
     # Python 3.11's date.fromisoformat also takes the week date and the basic form.
-    @pytest.mark.parametrize("reference", ["03/01/2003", "2003-W01-1", "20030101",
+    @pytest.mark.parametrize("reference", ["", "03/01/2003", "2003-W01-1", "20030101",
                                            "2003-1-01", "2003-02-30", "\u0662003-01-01"])
     def test_bad_reference_exit_2(self, capsys, tmp_path, reference):
         doc = tmp_path / "doc.txt"
@@ -436,6 +437,50 @@ def test_dates_records_address_the_text(tmp_path_factory, text):
         spans.append((offset, offset + length))
     assert spans == sorted(spans)
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    assert main(argv + ["--format", "inline"]) == 0
+    with open(out, encoding="utf-8", newline="") as f:
+        assert strip_inline(f.read()) == text
+
+
+# --------------------------------------------------------------------------
+# generated text through `places`, in both output forms
+
+_PLACE_SURFACE = st.sampled_from(sorted(
+    {*(s for rec in gazetteer.load_gazetteer(GAZ).records.values() for s in rec.surfaces()),
+     *(t.surface for t in gazetteer.load_triggers(TRIGGERS).triggers)}))
+# Pieces, each glued to the next or separated from it, and maybe repeated
+# with its separator: a name glued to a copy of itself is no name.
+_PLACES_TEXT = st.lists(
+    st.tuples(_ANY_TEXT | _PLACE_SURFACE, st.integers(1, 3),
+              st.just("") | st.just(" ") | _SEP_RUN).map(lambda t: (t[0] + t[2]) * t[1]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_PLACES_TEXT)
+def test_places_records_address_the_text(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    doc, out = base / "places.txt", base / "places.out"
+    doc.write_bytes(text.encode("utf-8"))
+    argv = ["places", str(doc), "--gazetteer", GAZ, "--triggers", TRIGGERS, "--out", str(out)]
+
+    assert main(argv) == 0
+    with open(out, encoding="utf-8", newline="") as f:
+        lines = f.read().split("\n")   # a surface may hold U+2028, which splitlines splits at
+    assert lines.pop() == ""
+    *geo, tallies = map(json.loads, lines)
+    spans = []
+    for record in geo:
+        assert record["type"] == "geo"
+        offset, length = record["offset"], record["length"]
+        assert length > 0 and text[offset:offset + length] == record["surface"]
+        spans.append((offset, offset + length))
+    assert spans == sorted(spans)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    assert tallies["type"] == "tallies"
+    assert {t["country"]: t["hits"] for t in tallies["tallies"]} == Counter(
+        record["country"] for record in geo)
 
     assert main(argv + ["--format", "inline"]) == 0
     with open(out, encoding="utf-8", newline="") as f:

@@ -1,9 +1,10 @@
 """``date`` records written from an encoded head and surface against whole-dict encoding."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from placetime.cli import _date_lines
+from placetime.cli import _date_lines, _date_span
 from placetime.dates import DateKind, DateMatch, NormalizedDate
 
 import date_record_oracle
@@ -19,8 +20,8 @@ _OFFSET = st.integers(-3, 3) | st.integers(-10 ** 30, 10 ** 30)
 
 
 @st.composite
-def _normal(draw):
-    kind = draw(st.sampled_from(DateKind))
+def _normal(draw, kind=None):
+    kind = kind or draw(st.sampled_from(DateKind))
     fields = {"year": _YEAR, "month": st.integers(1, 12), "day": st.integers(1, 28),
               "rel_offset": _OFFSET}
     return NormalizedDate(kind, **{name: draw(fields[name]) for name in kind.fields})
@@ -36,3 +37,14 @@ def test_date_lines_equal_dict_encoding(files):
     for path, matches in files:
         assert _date_lines(path, matches) == [date_record_oracle.date_line(path, m)
                                               for m in matches]
+
+
+# The inline marker's kind and normal form, written without the Enum's
+# ``value`` or ``to_string``, against those two.
+@pytest.mark.parametrize("kind", DateKind)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_date_span_equals_kind_value_and_to_string(kind, data):
+    m = data.draw(_MATCH)._replace(normal=data.draw(_normal(kind)))
+    assert _date_span(m) == (m.offset, m.length, "date:%s" % m.normal.kind.value,
+                             m.normal.to_string())

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from placetime import dates
-from placetime.dates import (DateKind, NormalizedDate, extract_dates,
+from placetime.dates import (DateKind, DateMatch, NormalizedDate, extract_dates,
                              find_lexical_dates, find_numeric_dates,
                              infer_document_order, load_date_lexicon,
                              normalize_match, resolve_relative)
@@ -655,6 +655,40 @@ def test_overlap_resolution_equals_pairwise(lexicon_en, text):
                    for k in kept):
             kept.append(m)
     assert extract_dates(text, lexicon_en) == sorted(kept, key=lambda m: m.offset)
+
+
+def _spans_kept_pairwise(matches):
+    """The longest, then leftmost, of overlapping matches, each checked
+    against every match kept before it."""
+    kept = []
+    for m in sorted(matches, key=lambda m: (-m.length, m.offset)):
+        if not any(m.offset < k.offset + k.length and m.offset + m.length > k.offset
+                   for k in kept):
+            kept.append(m)
+    return sorted(kept, key=lambda m: m.offset)
+
+
+def _span_matches(spans):
+    # Each surface numbers its match, so that of two with one span the
+    # comparison sees which one was kept.
+    normal = NormalizedDate(DateKind.RELATIVE_DAY, rel_offset=0)
+    return [DateMatch(offset, length, str(i), normal)
+            for i, (offset, length) in enumerate(spans)]
+
+
+# Dense, short spans in any order: runs of three or more matches whose first
+# and last members do not overlap, and equal spans, are common.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)), max_size=30))
+def test_overlap_runs_equal_pairwise(spans):
+    matches = _span_matches(spans)
+    assert dates._drop_overlaps(matches) == _spans_kept_pairwise(matches)
+
+
+def test_overlap_run_keeps_disjoint_ends():
+    # (4, 6) joins (0, 5) and (5, 10) into one run, though they do not overlap.
+    kept = dates._drop_overlaps(_span_matches([(5, 5), (4, 2), (0, 5)]))
+    assert [(m.offset, m.offset + m.length) for m in kept] == [(0, 5), (5, 10)]
 
 
 # --------------------------------------------------------------------------
