@@ -4,32 +4,20 @@ Recognition is driven entirely by a per-language lexicon file (month
 names, day ordinals, relative-day words, modifiers, connectors, number
 words), so adding a language means writing a parameter file, not code.
 Every section but the months may be empty: its alternation then never
-matches, and the whole-text relative-day scan is skipped.
+matches.
 
-The pipeline first finds complete numeric dates (``13/02/03``,
-``31.5.2003``), infers whether the document writes day-month-year or
-month-day-year, then anchors on month names and scans both sides for the
-remaining parts.  The full-text scans keep the regex engine from trying a
-match at every character: every one starts by consuming a character the
-engine can skip ahead to.  The numeric scans start a few characters before
-the first digit-separator-digit pair, and do not run without one; the
-month and relative-day alternations are grouped by the first character of
-the lexicon's own surfaces, each group checking the word boundary only
-after that character.  A left-context search runs only after its reversed
-pattern, matched on the reversed text at the month, shows that a match
-ends there; ``_Scanner.probe_left`` runs the two in turn.  The search is
-bounded by token count: it looks only as many separator-delimited tokens
-back from the month as the lexicon's longest connector, day surface, year
-and pre-modifier could fill, which finds the same match as a search over
-the whole prefix.
-Overlaps between candidates are resolved in one walk over the matches in
-offset order: a match that starts at or after the furthest end seen so far
-opens a new run, a run of one is kept as it is, and only a run of
-overlapping matches goes through the longest-then-leftmost choice, so
-extraction takes time linear in document length.  Matches carry character
-offset, length and a typed normal form; relative expressions can be
-resolved against a reference date.  Candidates and matches are plain
-named tuples, and normal forms are tuples validated on construction.
+The pipeline finds complete numeric dates (``13/02/03``, ``31.5.2003``),
+infers whether the document writes day-month-year or month-day-year, then
+finds the month and relative-day anchors in one scan, in offset order.  Each
+full-text scan starts by consuming a character the regex engine can skip
+ahead to.  A month's left contexts (a day, a year, a pre-modifier) are each
+one match of a reversed pattern on the reversed text, back to no further
+than the end of the last candidate before the month, so a token that ends
+one date cannot start the next.  Overlaps are resolved in one walk in offset
+order, and only a run of overlapping matches goes through the
+longest-then-leftmost choice, so extraction is linear in document length.
+Matches carry offset, length and a typed normal form; relative expressions
+can be resolved against a reference date.
 """
 
 from __future__ import annotations
@@ -100,12 +88,9 @@ class NormalizedDate(_DateFields):
         if month is not None and not 1 <= month <= 12:
             raise ValueError("month %r outside 1..12" % (month,))
         if day is not None:
-            if month is None:
-                limit = 31
-            elif month == 2 and year is not None and not calendar.isleap(year):
+            limit = 31 if month is None else _MONTH_DAYS[month - 1]
+            if month == 2 and year is not None and not calendar.isleap(year):
                 limit = 28
-            else:
-                limit = _MONTH_DAYS[month - 1]
             if not 1 <= day <= limit:
                 raise ValueError("day %r invalid for month %r year %r" % (day, month, year))
         return tuple.__new__(cls, (kind, year, month, day, rel_offset))
@@ -146,11 +131,6 @@ _SECTIONS = ("meta", "months", "day_ordinals", "relative_days", "pre_modifiers",
 _META_KEYS = ("language", "default_order")  # ``language`` is accepted and ignored
 
 
-def _surfaces(value):
-    """The non-empty ``|``-separated surfaces of a value, each stripped."""
-    return [s for s in map(str.strip, value.split("|")) if s]
-
-
 def load_date_lexicon(path) -> DateLexicon:
     """Parse a sectioned ``key = value`` parameter file (see data/lexicons).
 
@@ -158,10 +138,12 @@ def load_date_lexicon(path) -> DateLexicon:
     the first bad line in the file is the one reported.  A surface has one
     meaning across the months, day ordinals, relative days, pre-modifiers and
     relative years, since a surface listed twice would make matching ambiguous.
+    The whole lexicon is then checked once more (``_check_reading``).
     """
     tables = {name: {} for name in _SECTIONS}
     tables["connectors"] = []
-    meaning = {}            # surface -> the section that gave it its meaning
+    meaning = {}            # surface -> (the section that gave it its meaning, its line)
+    connector_lines = {}
     name = None
     for lineno, raw in enumerate(read_lines(path, "lexicon"), start=1):
         line = raw.strip()
@@ -177,12 +159,12 @@ def load_date_lexicon(path) -> DateLexicon:
             raise LoadError("%s:%d: content before first section" % (path, lineno))
         if name == "connectors":
             table.append(line)
+            connector_lines[line] = lineno
             continue
         key, eq, value = line.partition("=")
         if not eq:
             raise LoadError("%s:%d: expected 'key = value' in [%s]" % (path, lineno, name))
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if name == "meta":
             if key not in _META_KEYS:
                 raise LoadError("%s:%d: unknown [meta] key %r" % (path, lineno, key))
@@ -190,24 +172,19 @@ def load_date_lexicon(path) -> DateLexicon:
                 raise LoadError("%s:%d: duplicate [meta] key %r" % (path, lineno, key))
             table[key] = value
             continue
-        if name == "months":
+        if name in ("months", "day_ordinals"):
             try:
                 number = int(key)
             except ValueError as exc:
-                raise LoadError("%s:%d: month index %r" % (path, lineno, key)) from exc
-            if not 1 <= number <= 12 or number in table.values():
-                raise LoadError("%s:%d: bad or duplicate month index %d" % (path, lineno, number))
-            surfaces = _surfaces(value)
-            if not surfaces:
-                raise LoadError("%s:%d: month %d has no surfaces" % (path, lineno, number))
-        elif name == "day_ordinals":
-            try:
-                number = int(key)
-            except ValueError as exc:
-                raise LoadError("%s:%d: day index %r" % (path, lineno, key)) from exc
-            if not 1 <= number <= 31:
+                what = "month" if name == "months" else "day"
+                raise LoadError("%s:%d: %s index %r" % (path, lineno, what, key)) from exc
+            surfaces = [s for s in map(str.strip, value.split("|")) if s]
+            if name == "day_ordinals" and not 1 <= number <= 31:
                 raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, number))
-            surfaces = _surfaces(value)
+            if name == "months" and (not 1 <= number <= 12 or number in table.values()):
+                raise LoadError("%s:%d: bad or duplicate month index %d" % (path, lineno, number))
+            if name == "months" and not surfaces:
+                raise LoadError("%s:%d: month %d has no surfaces" % (path, lineno, number))
         else:
             if not key:
                 raise LoadError("%s:%d: empty surface in [%s]" % (path, lineno, name))
@@ -226,8 +203,8 @@ def load_date_lexicon(path) -> DateLexicon:
         for s in surfaces:
             if s in meaning:
                 raise LoadError("%s: surface %r appears in [%s] and again in [%s]"
-                                % (path, s, meaning[s], name))
-            meaning[s] = name
+                                % (path, s, meaning[s][0], name))
+            meaning[s] = name, lineno
             table[s] = number
 
     default_order = tables.pop("meta").get("default_order", ORDER_DMY).lower()
@@ -236,8 +213,56 @@ def load_date_lexicon(path) -> DateLexicon:
     missing = sorted(set(range(1, 13)).difference(tables["months"].values()))
     if missing:
         raise LoadError("%s: [months] missing indices %s" % (path, missing))
+    _check_reading(path, tables, lambda s, connector=False: (
+        connector_lines[s] if connector else meaning[s][1]))
     tables["connectors"] = tuple(tables["connectors"])
     return DateLexicon(default_order=default_order, **tables)   # one field per section
+
+
+def _check_reading(path, tables, line_of):
+    """Refuse, at its first line, what would make ``_Scanner`` read other than forward
+    left-context searches and separate month and relative-day scans: a connector,
+    day ordinal or pre-modifier that starts or ends with ``,`` or ``-``, a connector
+    that holds a digit (``\\d``) or a day-ordinal word, ignoring case, or a month
+    and a relative day that one text can hold as overlapping whole words."""
+    faults = [(line_of(s, name == "connectors"),
+               "%r in [%s] starts or ends with ',' or '-'" % (s, name))
+              for name in ("connectors", "day_ordinals", "pre_modifiers")
+              for s in tables[name] if s[0] in ",-" or s[-1] in ",-"]
+    faults += [(line_of(s, True), "connector %r holds a digit" % s)
+               for s in tables["connectors"] if any(map(str.isdecimal, s))]
+    shared = _words(tables["connectors"]) & _words(tables["day_ordinals"])
+    faults += [(line_of(s, True), "connector %r holds a day-ordinal word" % s)
+               for s in tables["connectors"] if shared and _words([s]) & shared]
+    pair = _overlap(tables["months"], tables["relative_days"])
+    if pair:
+        faults.append((max(map(line_of, pair)), "%r and %r can overlap in a text" % pair))
+    if faults:
+        raise LoadError("%s:%d: %s" % (path, *min(faults)))
+
+
+def _words(surfaces):
+    """Words of the surfaces, keyed so that ``re.IGNORECASE``-equal ones meet (İ: i, U+0307)."""
+    return set(" ".join(surfaces).replace(",", " ").lower().upper().replace("\u0307", "").split())
+
+
+def _overlap(months, relative_days):
+    """A month and a relative day that one text can hold as overlapping whole words,
+    or None.  The one starting inside the other starts with a word of the other
+    or with a non-word character, so most lexicons are cleared by their words."""
+    joined = "\n".join(months), "\n".join(relative_days)
+    if not (set(_RE_WORD.findall(joined[0])) & set(_RE_WORD.findall(joined[1]))
+            or _RE_LEAD_NONWORD.search("\n".join(joined))):
+        return None
+    for surfaces, others in ((months, relative_days), (relative_days, months)):
+        heads = {b[:m.start()]: b for b in others for m in _RE_WORD_END.finditer(b, 1)}
+        for a in surfaces:
+            for p in (m.start() for m in _RE_WORD_START.finditer(a)):
+                for q in (m.start() for m in _RE_WORD_END.finditer(a, p + 1)):
+                    b = heads.get(a[p:]) if q == len(a) else a[p:q] if a[p:q] in others else None
+                    if b is not None:
+                        return a, b
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -308,18 +333,14 @@ def infer_document_order(candidates, default: str = ORDER_DMY) -> str:
     """Document-wide field order from unambiguous numeric candidates."""
     forced_dmy = any(c.dmy_possible and not c.mdy_possible for c in candidates)
     forced_mdy = any(c.mdy_possible and not c.dmy_possible for c in candidates)
-    if forced_mdy and not forced_dmy:
-        return ORDER_MDY
-    if forced_dmy and not forced_mdy:
-        return ORDER_DMY
+    if forced_mdy != forced_dmy:
+        return ORDER_MDY if forced_mdy else ORDER_DMY
     return default
 
 
 def _expand_year(field: str) -> int:
     year = int(field)
-    if len(field) == 2:
-        return 2000 + year if year < 50 else 1900 + year
-    return year
+    return year if len(field) != 2 else year + (2000 if year < 50 else 1900)
 
 
 # --------------------------------------------------------------------------
@@ -348,10 +369,9 @@ def _word_pattern(surfaces):
 
     The longest-first alternation is grouped by first character, and each
     group checks that no word character precedes the surface only after
-    consuming that character (``(?<!\\w.)``, under ``re.S``).  A pattern led by
-    such consuming branches gets a first-character prefilter from the regex
-    engine, which then skips to the positions that can start a match; one led
-    by an assertion would be tried at every position.
+    consuming that character (``(?<!\\w.)``, under ``re.S``), so that the regex
+    engine skips to the positions that can start a match instead of trying
+    an assertion at every position.
     """
     groups = {}
     for s in sorted(surfaces, key=len, reverse=True):
@@ -361,16 +381,16 @@ def _word_pattern(surfaces):
         for first, rests in groups.items()), re.S)
 
 
-_RE_TOKEN = re.compile(r"[^\s,-]+")
 _RE_WORD_SEP = re.compile(r"[\s-]+")     # between spelled number words
-
-
-def _max_tokens(surfaces):
-    return max((len(_RE_TOKEN.findall(s)) for s in surfaces), default=0)
+_RE_WORD = re.compile(r"\w+")
+_RE_WORD_START = re.compile(r"(?<!\w)")
+_RE_WORD_END = re.compile(r"(?!\w)")
+_RE_LEAD_NONWORD = re.compile(r"^\W", re.M)
+_RE_WORD_RUN = re.compile(r"(?<=\w)\w*")  # the rest of a word, from inside it
 
 
 class _Scanner:
-    """Compiled month-anchored patterns for one lexicon."""
+    """Compiled anchor and context patterns for one lexicon."""
 
     def __init__(self, lexicon: DateLexicon):
         self.lexicon = lexicon
@@ -379,81 +399,53 @@ class _Scanner:
         rconn = "(?i:%s)" % _alt(s[::-1] for s in lexicon.connectors)
         rday_alt = r"(?:%s|\d{1,2})" % _alt(s[::-1] for s in lexicon.day_ordinals)
 
-        self.re_month = _word_pattern(lexicon.months)
-        self.re_day_left = re.compile(
-            r"(?<!\w)(?:(%s)[\s,]+)?(%s)(?:[\s,]+(?:%s))?[\s,]+\Z"
-            % (conn, day_alt, conn))
-        self.re_year_left = re.compile(
-            r"(?<!\w)(\d{4})[\s,]*(?:(?:%s)[\s,]+)?\Z" % conn)
-        self.re_year_right = re.compile(
-            r"[\s,]+(?:(?:%s)[\s,]+)?(\d{4})(?!\w)" % conn)
-        self.re_day_right = re.compile(
-            r"[\s,]+(?:(?:%s)[\s,]+)?(%s)(?!\w)" % (conn, day_alt))
-        self.re_premod = re.compile(r"(?<!\w)(%s)[\s-]+\Z" % _alt(lexicon.pre_modifiers))
-        # The three left patterns reversed, for ``.match(rev, len(text) - end)``:
-        # each matches exactly when a forward match ends at ``end``.
+        self.re_anchor = _word_pattern([*lexicon.months, *lexicon.relative_days])
+        self.re_year_right = re.compile(r"[\s,]+(?:(?:%s)[\s,]+)?(\d{4})(?!\w)" % conn)
+        self.re_day_right = re.compile(r"[\s,]+(?:(?:%s)[\s,]+)?(%s)(?!\w)" % (conn, day_alt))
+        # For ``read_left``, each the reverse of a forward pattern, groups in reverse order:
+        #   day_left   (?<!\w)(?:(conn)[\s,]+)?(day)(?:[\s,]+conn)?[\s,]+\Z
+        #   year_left  (?<!\w)(\d{4})[\s,]*(?:(conn)[\s,]+)?\Z
+        #   premod     (?<!\w)(pre_modifier)[\s-]+\Z
         self.rev_day_left = re.compile(
-            r"[\s,]+(?:%s[\s,]+)?%s(?:[\s,]+%s)?(?!\w)" % (rconn, rday_alt, rconn))
-        self.rev_year_left = re.compile(r"(?:[\s,]+%s)?[\s,]*\d{4}(?!\w)" % rconn)
+            r"[\s,]+(?:%s[\s,]+)?(%s)(?:[\s,]+(%s))?(?!\w)" % (rconn, rday_alt, rconn))
+        self.rev_year_left = re.compile(r"(?:[\s,]+(%s))?[\s,]*(\d{4})(?!\w)" % rconn)
         self.rev_premod = re.compile(
-            r"[\s-]+(?:%s)(?!\w)" % _alt(s[::-1] for s in lexicon.pre_modifiers))
+            r"[\s-]+(%s)(?!\w)" % _alt(s[::-1] for s in lexicon.pre_modifiers))
         self.re_relyear = re.compile(
             r"[\s,]+(?:(?:%s)[\s,]+)?(%s)(?!\w)" % (conn, _alt(lexicon.relative_years)))
         numword = _alt(lexicon.number_words)
         self.re_numseq = re.compile(
             r"[\s,]+(?:(?:%s)[\s,]+)?((?:%s)(?:[\s-]+(?:%s)){0,4})(?!\w)"
             % (conn, numword, numword))
-        # re_relday alone scans the whole text, where a never-matching pattern costs ~45 us/KB.
-        self.re_relday = _word_pattern(lexicon.relative_days) if lexicon.relative_days else None
 
-        # The most separator-delimited tokens a match of re_day_left,
-        # re_year_left or re_premod can hold; a year is one token.
-        conn_tokens = _max_tokens(lexicon.connectors)
-        left_tokens = max(2 * conn_tokens + max(_max_tokens(lexicon.day_ordinals), 1),
-                          1 + conn_tokens, _max_tokens(lexicon.pre_modifiers))
-        # Matched on the reversed text: one more token than that.
-        self.re_left_window = re.compile(
-            r"[\s,-]*[^\s,-]+(?:[\s,-]+[^\s,-]+){%d}" % left_tokens)
+    def read_left(self, pattern, text, rev, floor, end):
+        r"""Reversed ``pattern`` on ``rev`` (``text`` reversed) from ``end`` back to ``floor``.
 
-    def search_left(self, pattern, text, rev, end):
-        """``pattern.search(text[:end])`` for a ``\\Z``-anchored left pattern.
-
-        ``rev`` is ``text`` reversed.  The search covers a window before
-        ``end`` that holds one token more than any match of ``re_day_left``,
-        ``re_year_left`` or ``re_premod`` can.  A match starting before it
-        would hold every token in it, so the leftmost match in the window is
-        the leftmost in the whole prefix; lookbehinds still see the text before it.
-        """
-        w = self.re_left_window.match(rev, len(text) - end)
-        return pattern.search(text, 0 if w is None else len(text) - w.end(), end)
-
-    def probe_left(self, pattern, probe, text, rev, end):
-        """``search_left``, or None when the reversed ``probe`` shows no match ends there."""
-        if probe.match(rev, len(text) - end) is None:
-            return None
-        return self.search_left(pattern, text, rev, end)
+        A match ``m`` reads ``text[len(text) - m.end():end]``, what the forward
+        pattern's ``.search(text, floor, end)`` finds.  At the ``endpos`` the
+        closing ``(?!\w)`` sees the end of the string, so a match that starts at
+        ``floor`` after a word character is read again from past that word."""
+        n = len(text)
+        m = pattern.match(rev, n - end, n - floor)
+        if m is not None and m.end() == n - floor:
+            word = _RE_WORD_RUN.match(text, floor)
+            if word is not None:
+                m = pattern.match(rev, n - end, n - word.end() - 1)
+        return m
 
     def parse_day(self, surface: str):
-        day_ordinals = self.lexicon.day_ordinals
-        if surface in day_ordinals:
-            return day_ordinals[surface]
-        if surface.isdigit():
-            value = int(surface)
-            if 1 <= value <= 31:
-                return value
-        return None
+        day = self.lexicon.day_ordinals.get(surface)
+        if day is None and surface.isdigit() and 1 <= int(surface) <= 31:
+            day = int(surface)
+        return day
 
     def compose_spelled_year(self, words):
         """Compose number words into a year value; None if not a year.
 
-        Pairs grammar: (19)(84) -> 1984, with tens+units grouping.  The
-        thousand form (two thousand and two) is flagged so callers can
-        restrict it to day-bearing dates.
-        """
+        Pairs grammar: (19)(84) -> 1984, with tens+units grouping.  The thousand
+        form (two thousand and two) is flagged, for day-bearing dates only."""
         vals = [self.lexicon.number_words[w] for w in words]
         vals = [v for v in vals if v != 0]  # join words like "and"
-        if not vals:
-            return None, False
         if 1000 in vals:
             i = vals.index(1000)
             head, tail = vals[:i], vals[i + 1:]
@@ -470,121 +462,119 @@ class _Scanner:
 
 def _group_tens(vals):
     out = []
-    i = 0
-    while i < len(vals):
-        v = vals[i]
-        if v % 10 == 0 and 20 <= v <= 90 and i + 1 < len(vals) and 1 <= vals[i + 1] <= 9:
-            out.append(v + vals[i + 1])
-            i += 2
+    for v in vals:
+        if out and out[-1] % 10 == 0 and 20 <= out[-1] <= 90 and 1 <= v <= 9:
+            out[-1] += v
         else:
             out.append(v)
-            i += 1
     return out
 
 
-def find_lexical_dates(text: str, lexicon: DateLexicon):
-    """Month-anchored and relative-day candidates (not yet validated)."""
+def find_lexical_dates(text: str, lexicon: DateLexicon, numeric=()):
+    """Month-anchored and relative-day candidates (not yet validated), in offset order.
+
+    A month's left context reads back no further than the furthest end of the
+    candidates that start before it, ``numeric`` (``find_numeric_dates``)
+    included, so that a token that ends one date does not start the next."""
     sc = lexicon._scanner
+    read_left = sc.read_left
+    n = len(text)
     rev = text[::-1]
     candidates = []
-    for m in sc.re_month.finditer(text):
-        cand = _scan_month(text, rev, m, sc)
-        if cand is not None:
-            candidates.append(cand)
-    if sc.re_relday is not None:
-        relative_days = lexicon.relative_days
-        for m in sc.re_relday.finditer(text):
-            start, end = m.span()
-            surface = m.group(0)
-            candidates.append(LexicalCandidate(start, end - start, surface,
-                                               DateKind.RELATIVE_DAY,
-                                               rel_offset=relative_days[surface]))
-    candidates.sort(key=_offset)
+    reach = 0               # the furthest end of the candidates before the anchor
+    numeric = iter(numeric)
+    nxt = next(numeric, None)
+    for m in sc.re_anchor.finditer(text):
+        anchor, month_end = start, end = m.span()
+        while nxt is not None and nxt.offset < anchor:
+            reach = max(reach, nxt.offset + nxt.length)
+            nxt = next(numeric, None)
+        surface = m.group()
+        month = lexicon.months.get(surface)
+        if month is None:
+            candidates.append(LexicalCandidate(start, end - start, surface, DateKind.RELATIVE_DAY,
+                                               rel_offset=lexicon.relative_days[surface]))
+            reach = max(reach, end)
+            continue
+        floor = min(reach, anchor)
+        day = year = rel_offset = None
+        spelled_thousand = False
+
+        lm = read_left(sc.rev_day_left, text, rev, floor, anchor)
+        if lm is not None:
+            day = sc.parse_day(lm.group(1)[::-1])
+        if day is None:
+            ym = read_left(sc.rev_year_left, text, rev, floor, anchor)
+        else:
+            ym = read_left(sc.rev_year_left, text, rev, floor, n - lm.end())
+            if ym is None:
+                # A leading connector only belongs to the span when a year
+                # precedes it ("1999, the 2nd of May").
+                start = n - lm.end(1)
+        if ym is not None:
+            start = n - ym.end()
+            year = int(text[start:start + 4])
+
+        if day is None and year is None:
+            rm = sc.re_relyear.match(text, end)
+            if rm is not None:
+                rel_offset = lexicon.relative_years[rm.group(1)]
+                end = rm.end(1)
+        if rel_offset is None:
+            for _ in range(2):
+                if year is None:
+                    rm = sc.re_year_right.match(text, end)
+                    if rm is not None:
+                        year = int(rm.group(1))
+                        end = rm.end(1)
+                        continue
+                    rm = sc.re_numseq.match(text, end)
+                    if rm is not None:
+                        words = _RE_WORD_SEP.split(rm.group(1))
+                        year, spelled_thousand = sc.compose_spelled_year(words)
+                        if year is not None:
+                            end = rm.end(1)
+                            continue
+                if day is None:
+                    rm = sc.re_day_right.match(text, end)
+                    if rm is not None:
+                        day = sc.parse_day(rm.group(1))
+                        if day is not None:
+                            end = rm.end(1)
+                            continue
+                break
+
+        # The thousand form of a spelled year only counts inside a full date.
+        if spelled_thousand and day is None:
+            year = None
+            end = month_end
+
+        # A relative year is only looked for when neither a day nor a year was
+        # found, so each kind below leaves the fields it does not carry None.
+        if rel_offset is not None:
+            kind = DateKind.MONTH_RELATIVE_YEAR
+        elif day is not None:
+            kind = DateKind.FULL if year is not None else DateKind.MONTH_DAY
+        elif year is not None:
+            kind = DateKind.YEAR_MONTH
+        else:
+            pm = read_left(sc.rev_premod, text, rev, floor, anchor)
+            if pm is None:
+                continue
+            start, kind = n - pm.end(), DateKind.RELATIVE_MONTH
+            rel_offset = lexicon.pre_modifiers[pm.group(1)[::-1]]
+        candidates.append(LexicalCandidate(start, end - start, text[start:end], kind,
+                                           year, month, day, rel_offset))
+        reach = max(reach, end)
     return candidates
-
-
-def _scan_month(text, rev, m, sc: _Scanner):
-    month = sc.lexicon.months[m.group(1)]
-    start, end = m.start(1), m.end(1)
-    day = year = rel_offset = None
-    spelled_thousand = False
-
-    lm = sc.probe_left(sc.re_day_left, sc.rev_day_left, text, rev, m.start(1))
-    if lm is not None:
-        day = sc.parse_day(lm.group(2))
-    if day is None:
-        ym = sc.probe_left(sc.re_year_left, sc.rev_year_left, text, rev, m.start(1))
-    else:
-        start = lm.start(1) if lm.group(1) else lm.start(2)
-        ym = sc.probe_left(sc.re_year_left, sc.rev_year_left, text, rev, start)
-        if ym is None:
-            # A leading connector only belongs to the span when a year
-            # precedes it ("1999, the 2nd of May").
-            start = lm.start(2)
-    if ym is not None:
-        year = int(ym.group(1))
-        start = ym.start(1)
-
-    if day is None and year is None:
-        rm = sc.re_relyear.match(text, end)
-        if rm is not None:
-            rel_offset = sc.lexicon.relative_years[rm.group(1)]
-            end = rm.end(1)
-    if rel_offset is None:
-        for _ in range(2):
-            if year is None:
-                rm = sc.re_year_right.match(text, end)
-                if rm is not None:
-                    year = int(rm.group(1))
-                    end = rm.end(1)
-                    continue
-                rm = sc.re_numseq.match(text, end)
-                if rm is not None:
-                    words = _RE_WORD_SEP.split(rm.group(1))
-                    year, spelled_thousand = sc.compose_spelled_year(words)
-                    if year is not None:
-                        end = rm.end(1)
-                        continue
-            if day is None:
-                rm = sc.re_day_right.match(text, end)
-                if rm is not None:
-                    day = sc.parse_day(rm.group(1))
-                    if day is not None:
-                        end = rm.end(1)
-                        continue
-            break
-
-    # The thousand form of a spelled year only counts inside a full date.
-    if spelled_thousand and day is None:
-        year = None
-        end = m.end(1)
-
-    # A relative year is only looked for when neither a day nor a year was
-    # found, so each kind below leaves the fields it does not carry None.
-    if rel_offset is not None:
-        kind = DateKind.MONTH_RELATIVE_YEAR
-    elif day is not None:
-        kind = DateKind.FULL if year is not None else DateKind.MONTH_DAY
-    elif year is not None:
-        kind = DateKind.YEAR_MONTH
-    else:
-        pm = sc.probe_left(sc.re_premod, sc.rev_premod, text, rev, m.start(1))
-        if pm is None:
-            return None
-        start, kind = pm.start(1), DateKind.RELATIVE_MONTH
-        rel_offset = sc.lexicon.pre_modifiers[pm.group(1)]
-    return LexicalCandidate(start, end - start, text[start:end], kind,
-                            year, month, day, rel_offset)
 
 
 # --------------------------------------------------------------------------
 # normalization and resolution
 
 def _numeric_reading(c, document_order, reject_two_digit_years):
-    """The (kind, year, month, day, rel_offset) fields of a numeric candidate.
-
-    Raises ValueError, naming the reason, when the candidate has no reading.
-    """
+    """The (kind, year, month, day, rel_offset) fields of a numeric candidate;
+    ValueError, naming the reason, when the candidate has no reading."""
     if c.ymd:
         return DateKind.FULL, int(c.f1), int(c.f2), int(c.f3), None
     if reject_two_digit_years and len(c.f3) == 2 and len(c.f1) == 1 and len(c.f2) == 1:
@@ -599,10 +589,8 @@ def _numeric_reading(c, document_order, reject_two_digit_years):
 
 def normalize_match(candidate, document_order: str, reject_two_digit_years: bool = False,
                     diagnostics=None):
-    """Turn a finder candidate into a DateMatch; None when discarded.
-
-    Discards land on the diagnostics list as (offset, surface, reason).
-    """
+    """Turn a finder candidate into a DateMatch; None when discarded, with
+    (offset, surface, reason) on the diagnostics list."""
     try:
         normal = NormalizedDate(*(
             _numeric_reading(candidate, document_order, reject_two_digit_years)
@@ -630,14 +618,11 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
         return NormalizedDate(DateKind.FULL, year=resolved.year,
                               month=resolved.month, day=resolved.day)
     if k is DateKind.RELATIVE_MONTH:
-        sign = normal.rel_offset
-        month = normal.month
-        if sign > 0:
-            year = reference.year + (0 if month > reference.month else 1)
-        elif sign < 0:
-            year = reference.year - (0 if month < reference.month else 1)
-        else:
-            year = reference.year
+        # "next" is the first such month after the reference month, "last"
+        # the last before it, "this" the reference year's.
+        month, later, earlier = normal.month, normal.rel_offset > 0, normal.rel_offset < 0
+        year = reference.year + (later and month <= reference.month) - (
+            earlier and month >= reference.month)
     elif k is DateKind.MONTH_RELATIVE_YEAR:
         year, month = reference.year + normal.rel_offset, normal.month
     else:
@@ -653,10 +638,8 @@ _offset = operator.attrgetter("offset")
 def _resolve_overlaps(run):
     """The matches of a run that the longest-then-leftmost choice keeps, sorted by offset.
 
-    Kept matches stay sorted by offset and disjoint, so their ends are sorted
-    too and only the last kept match starting before a candidate's end can
-    overlap it.
-    """
+    Kept matches stay sorted by offset and disjoint, so their ends are sorted too
+    and only the last kept match starting before a candidate's end can overlap it."""
     run.sort(key=lambda m: (-m.length, m.offset))
     kept = []
     for m in run:
@@ -671,10 +654,8 @@ def _drop_overlaps(matches):
     """The matches that overlapping ones do not outrank, sorted by offset.
 
     In offset order, a match that starts at or after the furthest end seen so
-    far opens a new run; the runs are the connected parts of the overlap
-    relation, so resolving each on its own keeps what resolving all at once
-    would.  A run of one is kept as it is.
-    """
+    far opens a new run.  The runs are the connected parts of the overlap
+    relation, so each is resolved on its own; a run of one is kept as it is."""
     kept = []
     run = None              # the current run, once a second match joins it
     reach = 0               # the furthest end of the current run
@@ -705,12 +686,9 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     if default not in (ORDER_DMY, ORDER_MDY):
         raise ConfigError("default order must be dmy or mdy, got %r" % default_order)
     order = infer_document_order(numeric, default)
-    # Overlaps keep the longest match, then the leftmost, within each run of
-    # overlapping matches.
     kept = _drop_overlaps([
-        m for cand in numeric + find_lexical_dates(text, lexicon)
+        m for cand in numeric + find_lexical_dates(text, lexicon, numeric)
         if (m := normalize_match(cand, order, reject_two_digit_years, diagnostics)) is not None])
-
     if reference is not None:
         for i, m in enumerate(kept):
             if m.normal.rel_offset is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import ContractError, LoadError, check_country, tsv_records
 
@@ -94,6 +93,11 @@ def _fmt(value: float) -> str:
     return "%.2f" % value
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape`` writes them."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(tallies, places, outline, style: MapStyle | None = None,
                diagnostics=None) -> str:
     """Render tallies and resolved places as an SVG 1.1 document.
@@ -120,7 +124,7 @@ def render_svg(tallies, places, outline, style: MapStyle | None = None,
             projected = [project(lat, lon, style) for lon, lat in polygon]
             points = " ".join("%s,%s" % (_fmt(x), _fmt(y)) for x, y in projected)
             lines.append('<polygon id="%s-%d" fill="%s" points="%s"/>'
-                         % (escape(country), i, fill, points))
+                         % (_escape(country), i, fill, points))
     lines.append('</g>')
 
     for country in sorted(buckets):

@@ -3,11 +3,13 @@ kept as the reference the tests compare them against.
 
 Here each kind's required fields and its normal form are spelled out in two
 ``if`` ladders, the day check asks ``calendar.monthrange``, ``_scan_month``
-builds its candidate separately for each kind and computes a left window for
-every search, and ``normalize_match`` has one path for numeric candidates and
-one for lexical ones.  The numeric, month and relative-day patterns start with
-their lookbehind, with no first-character filter.  Overlaps are resolved by a
-pairwise scan.
+builds its candidate separately for each kind and reads each left context
+with a forward search over the text between the floor and the month, and
+``normalize_match`` has one path for numeric candidates and one for lexical
+ones.  The numeric, month and relative-day patterns start with their
+lookbehind, with no first-character filter, and months and relative days are
+two scans.  Each anchor's floor is recomputed from every candidate so far,
+and overlaps are resolved by a pairwise scan.
 """
 
 import calendar
@@ -29,6 +31,19 @@ def month_pattern(lexicon):
 
 def relday_pattern(lexicon):
     return re.compile(r"(?<!\w)(%s)(?!\w)" % _alt(lexicon.relative_days))
+
+
+def left_patterns(lexicon):
+    """The forward left-context patterns by name, each ending at ``\\Z``:
+    ``.search(text, floor, end)`` finds the leftmost match from ``floor`` up to ``end``."""
+    conn = "(?i:%s)" % _alt(lexicon.connectors)
+    day_alt = r"(?:%s|\d{1,2})" % _alt(lexicon.day_ordinals)
+    return {
+        "day_left": re.compile(r"(?<!\w)(?:(%s)[\s,]+)?(%s)(?:[\s,]+(?:%s))?[\s,]+\Z"
+                               % (conn, day_alt, conn)),
+        "year_left": re.compile(r"(?<!\w)(\d{4})[\s,]*(?:(%s)[\s,]+)?\Z" % conn),
+        "premod": re.compile(r"(?<!\w)(%s)[\s-]+\Z" % _alt(lexicon.pre_modifiers)),
+    }
 
 
 def find_numeric_dates(text):
@@ -108,27 +123,27 @@ class NormalizedDate:
         return "M%02dY%+d" % (self.month, self.rel_offset)
 
 
-def _scan_month(text, rev, m, sc):
+def _scan_month(text, m, sc, left, floor):
     month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
     anchor = start
     day = year = rel_year = None
     spelled_thousand = False
 
-    lm = sc.search_left(sc.re_day_left, text, rev, anchor)
+    lm = left["day_left"].search(text, floor, anchor)
     if lm is not None:
         parsed = sc.parse_day(lm.group(2))
         if parsed is not None:
             day = parsed
             start = lm.start(1) if lm.group(1) else lm.start(2)
-            ym = sc.search_left(sc.re_year_left, text, rev, start)
+            ym = left["year_left"].search(text, floor, start)
             if ym is not None:
                 year = int(ym.group(1))
                 start = ym.start(1)
             else:
                 start = lm.start(2)
     if day is None:
-        ym = sc.search_left(sc.re_year_left, text, rev, anchor)
+        ym = left["year_left"].search(text, floor, anchor)
         if ym is not None:
             year = int(ym.group(1))
             start = ym.start(1)
@@ -189,28 +204,35 @@ def _scan_month(text, rev, m, sc):
         return LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.MONTH_DAY,
                                 month=month, day=day)
-    if sc.re_premod is not None:
-        pm = sc.search_left(sc.re_premod, text, rev, anchor)
-        if pm is not None:
-            start = pm.start(1)
-            return LexicalCandidate(offset=start, length=end - start,
-                                    surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
-                                    month=month,
-                                    rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
+    pm = left["premod"].search(text, floor, anchor)
+    if pm is not None:
+        start = pm.start(1)
+        return LexicalCandidate(offset=start, length=end - start,
+                                surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
+                                month=month,
+                                rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
     return None
 
 
-def find_lexical_dates(text, lexicon):
+def find_lexical_dates(text, lexicon, numeric=()):
+    """Each anchor's left context reads from the furthest end of the candidates
+    that start before it, but no further right than the anchor."""
     sc = lexicon._scanner
-    rev = text[::-1]
-    candidates = [c for m in month_pattern(lexicon).finditer(text)
-                  if (c := _scan_month(text, rev, m, sc)) is not None]
+    left = left_patterns(lexicon)
+    anchors = [(m.start(), m, True) for m in month_pattern(lexicon).finditer(text)]
     if lexicon.relative_days:
-        for m in relday_pattern(lexicon).finditer(text):
+        anchors += [(m.start(), m, False) for m in relday_pattern(lexicon).finditer(text)]
+    candidates = []
+    for start, m, is_month in sorted(anchors, key=lambda a: a[0]):
+        if is_month:
+            ends = [c.offset + c.length for c in [*numeric, *candidates] if c.offset < start]
+            c = _scan_month(text, m, sc, left, min(start, max(ends, default=0)))
+            if c is not None:
+                candidates.append(c)
+        else:
             candidates.append(LexicalCandidate(
                 offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
                 kind=DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[m.group(1)]))
-    candidates.sort(key=lambda c: c.offset)
     return candidates
 
 
@@ -290,7 +312,7 @@ def extract_dates(text, lexicon, reference=None, default_order=None,
     numeric = find_numeric_dates(text)
     order = infer_document_order(numeric, (default_order or lexicon.default_order).lower())
     matches = []
-    for cand in numeric + find_lexical_dates(text, lexicon):
+    for cand in numeric + find_lexical_dates(text, lexicon, numeric):
         m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
         if m is not None:
             matches.append(m)

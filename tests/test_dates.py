@@ -166,6 +166,14 @@ class TestLexiconLoad:
          "{path}: surface 'm3' appears in [months] and again in [months]"),
         ("\n1 = first\n", "\n1 = first\n2 = first\n",
          "{path}: surface 'first' appears in [day_ordinals] and again in [day_ordinals]"),
+        ("1 = first", "1 = 1st|first,",
+         "{path}:18: 'first,' in [day_ordinals] starts or ends with ',' or '-'"),
+        ("next = +1", "-next = +1",
+         "{path}:22: '-next' in [pre_modifiers] starts or ends with ',' or '-'"),
+        ("\nof\n", "\nof 2\n", "{path}:26: connector 'of 2' holds a digit"),
+        ("\nof\n", "\nOf First\n",
+         "{path}:26: connector 'Of First' holds a day-ordinal word"),
+        ("today = 0", "m3 today = 0", "{path}:20: 'm3' and 'm3 today' can overlap in a text"),
     ])
     def test_single_fault_message(self, tmp_path, old, new, message):
         path = tmp_path / "x.lex"
@@ -174,6 +182,26 @@ class TestLexiconLoad:
         with pytest.raises(LoadError) as excinfo:
             load_date_lexicon(path)
         assert str(excinfo.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("month, relative_day", [
+        ("m12 x", "x"), ("x m12", "x"), ("m12.x", "x"), ("m12 x", "x y"), ("x.m12", "y x"),
+        ("x", "m12 x"), ("x y", "m12 x"), ("m12 x", "m12 x y")])
+    def test_overlapping_anchors_rejected(self, tmp_path, month, relative_day):
+        # A text can hold both as overlapping whole words, where the one anchor
+        # scan finds only one of them.
+        path = tmp_path / "x.lex"
+        path.write_text(self._VALID.replace("12 = m12", "12 = m12|" + month)
+                        .replace("today = 0", relative_day + " = 0"), encoding="utf-8")
+        with pytest.raises(LoadError, match="can overlap in a text$"):
+            load_date_lexicon(path)
+
+    @pytest.mark.parametrize("month, relative_day", [
+        ("m12x", "x"), ("xm12", "x"), ("m12 x", "xy"), ("m12 x", "y x"), ("x_y", "y")])
+    def test_anchors_that_cannot_overlap_load(self, tmp_path, month, relative_day):
+        path = tmp_path / "x.lex"
+        path.write_text(self._VALID.replace("12 = m12", "12 = m12|" + month)
+                        .replace("today = 0", relative_day + " = 0"), encoding="utf-8")
+        assert relative_day in load_date_lexicon(path).relative_days
 
     def test_single_fault_base_loads(self, tmp_path):
         path = tmp_path / "x.lex"
@@ -448,7 +476,7 @@ class TestExtractPipeline:
 
     @pytest.mark.parametrize("text, expected", [
         ("3 May 2003, May 2003, May 3 and May",
-         [("3 May 2003", "2003-05-03"), ("2003, May 3", "2003-05-03")]),
+         [("3 May 2003", "2003-05-03"), ("May 2003", "2003-05"), ("May 3", "--05-03")]),
         ("3 May 2003; May 2003; May 3 and May",
          [("3 May 2003", "2003-05-03"), ("May 2003", "2003-05"), ("May 3", "--05-03")]),
         ("the 3rd of May, next May, May next year, May nineteen eighty-four, yesterday", []),
@@ -486,17 +514,15 @@ class TestExtractPipeline:
 
 
 class TestYearSharedByNeighbours:
-    """A year that ends one date is also read as the year before the next month,
-    and the longer of the two overlapping spans wins (ROADMAP item 3)."""
+    """A token that ends one date, numeric or lexical, is not read again as the
+    left context of the next month."""
 
-    @pytest.mark.xfail(strict=True, reason="the year of 3 May 2003 is taken for June 4")
     def test_full_date_then_month_day(self, lexicon_en):
         found = [(m.surface, m.normal.to_string())
                  for m in extract_dates("Signed 3 May 2003, June 4 was next", lexicon_en)]
         assert ("3 May 2003", "2003-05-03") in found
         assert ("June 4", "--06-04") in found
 
-    @pytest.mark.xfail(strict=True, reason="the year of May 2003 is taken for May 3")
     def test_year_month_between_dates(self, lexicon_en):
         found = [(m.surface, m.normal.to_string())
                  for m in extract_dates("3 May 2003, May 2003, May 3 and May", lexicon_en)]
@@ -508,12 +534,87 @@ class TestYearSharedByNeighbours:
                 for m in extract_dates("1999, the 2nd of May", lexicon_en)] == [
             ("1999, the 2nd of May", "1999-05-02")]
 
+    @pytest.mark.parametrize("text, expected", [
+        ("Filed 12/05/2003, June 4 was next.",
+         [("12/05/2003", "2003-05-12"), ("June 4", "--06-04")]),
+        ("Met May 3, 1999, the 2nd of May.",
+         [("May 3, 1999", "1999-05-03"), ("2nd of May", "--05-02")]),
+        ("From 2003-05-12, June 4 on.",
+         [("2003-05-12", "2003-05-12"), ("June 4", "--06-04")]),
+        # A numeric candidate claims its tokens though normalization discards it.
+        ("On 31/02/2003 May was cold.", []),
+        # No left context starts inside the word a numeric date ends.
+        ("Filed 12/05/2003first June, 12/05/2003next June.",
+         [("12/05/2003", "2003-05-12"), ("12/05/2003", "2003-05-12")]),
+    ])
+    def test_shapes(self, lexicon_en, text, expected):
+        assert [(m.surface, m.normal.to_string())
+                for m in extract_dates(text, lexicon_en)] == expected
+
+
+# The phrase shapes that take a surface from a lexicon section, and the section.
+_SHAPE_SECTIONS = {"relative_day": "relative_days", "relative_year": "relative_years",
+                   "pre_modifier": "pre_modifiers"}
+
+
+@st.composite
+def _phrase(draw, lexicon, closed):
+    """(text, normal form) of one date phrase built from the lexicon's entries.
+
+    A ``closed`` phrase leaves its right context nothing to take, so that any
+    phrase may follow it: a full date, spelled or numeric, a relative day or a
+    month with a relative year.  The others may also be a month with a day or
+    a year only, or a month after a pre-modifier.
+    """
+    shapes = ["full", "numeric", "iso", "relative_day", "relative_year"]
+    if not closed:
+        shapes += ["month_day", "year_month", "pre_modifier"]
+    shape = draw(st.sampled_from([s for s in shapes if s not in _SHAPE_SECTIONS
+                                  or getattr(lexicon, _SHAPE_SECTIONS[s])]))
+    n = draw(st.integers(1, 12))
+    month = draw(st.sampled_from([s for s, v in lexicon.months.items() if v == n]))
+    day = draw(st.integers(1, 28))
+    year = draw(st.integers(1950, 2049))
+    full = "%04d-%02d-%02d" % (year, n, day)
+    if shape == "full":
+        return draw(st.sampled_from(["%d %s %d" % (day, month, year),
+                                     "%s %d, %d" % (month, day, year)])), full
+    if shape == "numeric":       # a day past 12 forces day-month-year
+        day = draw(st.integers(13, 28))
+        return "%d/%02d/%d" % (day, n, year), "%04d-%02d-%02d" % (year, n, day)
+    if shape == "iso":
+        return "%d-%02d-%02d" % (year, n, day), full
+    if shape == "month_day":
+        return draw(st.sampled_from(["%s %d" % (month, day), "%d %s" % (day, month)])), (
+            "--%02d-%02d" % (n, day))
+    if shape == "year_month":
+        return draw(st.sampled_from(["%s %d" % (month, year), "%d %s" % (year, month)])), (
+            "%04d-%02d" % (year, n))
+    table = getattr(lexicon, _SHAPE_SECTIONS[shape])
+    surface = draw(st.sampled_from(sorted(table)))
+    if shape == "relative_day":
+        return surface, "D%+d" % table[surface]
+    if shape == "relative_year":
+        return "%s %s" % (month, surface), "M%02dY%+d" % (n, table[surface])
+    return "%s %s" % (surface, month), "M%02d%+d" % (n, table[surface])
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_neighbouring_dates_keep_their_own_forms(lexicon_name, data, request):
+    lexicon = request.getfixturevalue(lexicon_name)
+    first = data.draw(_phrase(lexicon, closed=True))
+    second = data.draw(_phrase(lexicon, closed=False))
+    joint = data.draw(st.sampled_from([", ", " and ", "; "]))
+    text = first[0] + joint + second[0]
+    assert [(m.offset, m.surface, m.normal.to_string()) for m in extract_dates(text, lexicon)] == [
+        (0, *first), (len(first[0] + joint), *second)]
+
 
 # --------------------------------------------------------------------------
-# the token-bounded left-context search against a search over the whole prefix
+# the reversed left-context reads against the forward searches of the oracle
 
-# Each names a forward pattern ``re_<name>`` and its reversed probe ``rev_<name>``.
-_LEFT_PATTERNS = ("day_left", "year_left", "premod")
 # Each run draws from one of these alphabets, so that runs the patterns can
 # cross ("[\s,]+", "[\s-]+") are as likely as runs they cannot.
 _SEPARATOR_RUNS = st.sampled_from([" ", " ,", " \t\n\u00a0", " -", " \t\n,-\u00a0"]).flatmap(
@@ -531,7 +632,8 @@ def _left_words(lexicon):
 
 
 def _check_left_searches(lexicon, data):
-    """Every left search, windowed, equals the search over the whole prefix."""
+    """Every reversed left read with no floor equals the forward search over
+    the whole prefix."""
     parts = data.draw(st.lists(st.tuples(_left_words(lexicon), _SEPARATOR_RUNS), max_size=24))
     text = ""
     ends = {0}
@@ -539,29 +641,35 @@ def _check_left_searches(lexicon, data):
         text += word + run
         ends.add(len(text))
     ends.update(data.draw(st.lists(st.integers(0, len(text)), max_size=4)))
-    _check_left_text(lexicon._scanner, text, ends)
+    _check_left_text(lexicon, text, ends, (0,))
 
 
-def _check_left_text(sc, text, ends):
-    """At each end, every windowed left search equals the search over the whole
-    prefix, its reversed probe fails exactly when that search does, and
-    ``probe_left`` is None where the probe fails and the windowed search
-    elsewhere."""
+def _check_left_text(lexicon, text, ends, floors):
+    """At each end and each floor before it, every reversed left read (``rev_<name>``)
+    finds the span and the groups, with their spans, of the forward search from
+    the floor (``dates_oracle.left_patterns``)."""
+    sc = lexicon._scanner
     rev = text[::-1]
-    for name in _LEFT_PATTERNS:
-        pattern, probe = getattr(sc, "re_" + name), getattr(sc, "rev_" + name)
+    for name, forward in dates_oracle.left_patterns(lexicon).items():
+        reverse = getattr(sc, "rev_" + name)
         for end in ends:
-            want = _found(pattern.search(text[:end]))
-            found = _found(sc.search_left(pattern, text, rev, end))
-            probed = probe.match(rev, len(text) - end) is not None
-            assert found == want
-            assert probed == (want is not None), (name, end)
-            assert (_found(sc.probe_left(pattern, probe, text, rev, end))
-                    == (found if probed else None)), (name, end)
+            for floor in floors:
+                if floor <= end:
+                    want = _found(forward.search(text, floor, end))
+                    got = _found_reversed(sc.read_left(reverse, text, rev, floor, end), len(text))
+                    assert got == want, (name, floor, end)
 
 
 def _found(m):
-    return m and (m.span(), m.groups())
+    return m and (m.span(), [(m.span(i), m.group(i)) for i in range(1, m.re.groups + 1)])
+
+
+def _found_reversed(m, n):
+    """``_found`` of the forward match that reversed match ``m`` reads, in a text of ``n``."""
+    def span(i):
+        return (-1, -1) if m.start(i) < 0 else (n - m.end(i), n - m.start(i))
+    return m and (span(0), [(span(i), m.group(i) and m.group(i)[::-1])
+                            for i in range(m.re.groups, 0, -1)])
 
 
 @pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
@@ -573,8 +681,7 @@ def test_windowed_left_search_equals_unbounded(lexicon_name, data, request):
 
 @pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
 def test_windowed_left_search_finds_longest_day_context(lexicon_name, request):
-    # The longest re_day_left match (longest connector, day and connector)
-    # is found whole: the window holds one token more than it.
+    # The longest day context (longest connector, day and connector) is read whole.
     lexicon = request.getfixturevalue(lexicon_name)
     sc = lexicon._scanner
 
@@ -584,8 +691,9 @@ def test_windowed_left_search_finds_longest_day_context(lexicon_name, request):
     conn = longest(lexicon.connectors)
     day = longest(lexicon.day_ordinals)
     text = "filler " * 20 + "%s , %s,\n%s   " % (conn, day, conn)
-    m = sc.search_left(sc.re_day_left, text, text[::-1], len(text))
-    assert (m.start(), m.group(1), m.group(2)) == (140, conn, day)
+    m = sc.read_left(sc.rev_day_left, text, text[::-1], 0, len(text))
+    assert _found_reversed(m, len(text))[1] == [((140, 140 + len(conn)), conn),
+                                                ((143 + len(conn), 143 + len(conn + day)), day)]
 
 
 # --------------------------------------------------------------------------
@@ -646,7 +754,7 @@ class TestNumericPrefilter:
 def test_overlap_resolution_equals_pairwise(lexicon_en, text):
     numeric = find_numeric_dates(text)
     order = infer_document_order(numeric, lexicon_en.default_order)
-    matches = [m for c in numeric + find_lexical_dates(text, lexicon_en)
+    matches = [m for c in numeric + find_lexical_dates(text, lexicon_en, numeric)
                if (m := normalize_match(c, order)) is not None]
     matches.sort(key=lambda m: (-m.length, m.offset))
     kept = []
@@ -768,6 +876,7 @@ def test_extract_dates_equals_oracle(lexicon_name, data, request):
 _PIECES = st.sampled_from(["May", "mai", "Ma", "x", "é", "ß", "7", "99", "of", "The", "Two",
                            ".", ",", "'", " ", "-", "\u00a0"])
 _SURFACE = st.lists(_PIECES, min_size=1, max_size=3).map("".join)
+_EDGES = r"^[\s,-]+|[\s,-]+$"
 _INT_SECTIONS = {
     "relative_days": st.one_of(st.integers(-3, 3), st.sampled_from([10 ** 9, -10 ** 30])),
     "pre_modifiers": st.integers(-2, 2),
@@ -778,24 +887,36 @@ _INT_SECTIONS = {
 
 @st.composite
 def _lexicon_file(draw):
-    """A lexicon file whose surfaces differ, so that most drawn files load."""
-    pool = draw(st.lists(_SURFACE, min_size=40, max_size=40, unique_by=str.strip))
+    """A lexicon file whose surfaces differ, so that most drawn files load.
 
-    def take(sizes):
+    Connectors, day ordinals and pre-modifiers lose the separators at their
+    ends, and connectors their digits, which the loader refuses.
+    """
+    pool = draw(st.lists(_SURFACE, min_size=40, max_size=40,
+                         unique_by=lambda s: re.sub(_EDGES, "", s)))
+
+    def take(sizes, trim=None):
         taken = pool[:draw(sizes)]
         del pool[:len(taken)]
+        if trim is not None:
+            taken = [t for t in (re.sub(trim, "", s) for s in taken) if t]
         return taken
 
     lines = ["[meta]", "default_order = " + draw(st.sampled_from(["dmy", "mdy"])), "[months]"]
     lines += ["%d = %s" % (i, "|".join(take(st.integers(1, 2)))) for i in range(1, 13)]
+    months = [s.strip() for line in lines[3:] for s in line.partition(" = ")[2].split("|")]
     lines.append("[day_ordinals]")
-    lines += ["%d = %s" % (day, "|".join(take(st.integers(0, 2))))
+    lines += ["%d = %s" % (day, "|".join(take(st.integers(0, 2), _EDGES)))
               for day in draw(st.sets(st.integers(1, 31), max_size=4))]
     for section, values in _INT_SECTIONS.items():
+        keys = take(st.integers(0, 4), _EDGES if section == "pre_modifiers" else None)
+        if section == "relative_days":
+            # None that the loader refuses for overlapping a month.
+            keys = [k for k in keys if not dates._overlap(months, [k.strip()])]
         lines.append("[%s]" % section)
-        lines += ["%s = %d" % (key, draw(values)) for key in take(st.integers(0, 4))]
+        lines += ["%s = %d" % (key, draw(values)) for key in keys]
     lines.append("[connectors]")
-    lines += take(st.integers(0, 3))
+    lines += take(st.integers(0, 3), _EDGES + r"|\d")
     return "\n".join(lines) + "\n"
 
 
@@ -849,15 +970,21 @@ def _scan_words(lexicon):
 def test_generated_lexicon_scans_equal_lookbehind_led(tmp_path_factory, source, data):
     lexicon = _load_generated(tmp_path_factory, source)
     assume(lexicon is not None)
-    sc = lexicon._scanner
     text = data.draw(_joined(_scan_words(lexicon), 24))
-    pairs = [(sc.re_month, dates_oracle.month_pattern(lexicon)),
-             (dates._RE_NUM_YMD, dates_oracle.RE_NUM_YMD),
-             (dates._RE_NUM_GEN, dates_oracle.RE_NUM_GEN)]
-    if lexicon.relative_days:
-        pairs.append((sc.re_relday, dates_oracle.relday_pattern(lexicon)))
-    for new, old in pairs:
+    assert _anchors(lexicon._scanner.re_anchor, text) == _oracle_anchors(lexicon, text)
+    for new, old in ((dates._RE_NUM_YMD, dates_oracle.RE_NUM_YMD),
+                     (dates._RE_NUM_GEN, dates_oracle.RE_NUM_GEN)):
         assert list(map(_found, new.finditer(text))) == list(map(_found, old.finditer(text)))
+
+
+def _anchors(pattern, text):
+    return [(m.span(), m.group(1)) for m in pattern.finditer(text)]
+
+
+def _oracle_anchors(lexicon, text):
+    """The months and relative days of the two lookbehind-led scans, in offset order."""
+    return sorted(_anchors(dates_oracle.month_pattern(lexicon), text)
+                  + _anchors(dates_oracle.relday_pattern(lexicon), text))
 
 
 # The shipped lexicons hold non-ASCII letters that the generated ones seldom
@@ -868,20 +995,16 @@ _GLUE = ("x", "_", "3", "\u00c9", "\u0663")
 @pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
 def test_shipped_lexicon_scans_equal_lookbehind_led(lexicon_name, request, corpus_dir):
     lexicon = request.getfixturevalue(lexicon_name)
-    sc = lexicon._scanner
     docs = [p.read_text(encoding="utf-8") for p in sorted(corpus_dir.glob("*.txt"))]
-    for new, old, surfaces in (
-            (sc.re_month, dates_oracle.month_pattern(lexicon),
-             list(lexicon.months)),
-            (sc.re_relday, dates_oracle.relday_pattern(lexicon), list(lexicon.relative_days))):
-        glued = [text for s in surfaces for g in _GLUE
-                 for text in (s, g + s, s + g, g + s + g, "%s %s %s" % (g, s, g))]
-        found = 0
-        for text in docs + glued:
-            want = [(m.span(), m.group(1)) for m in old.finditer(text)]
-            assert [(m.span(), m.group(1)) for m in new.finditer(text)] == want, text
-            found += len(want)
-        assert found >= 2 * len(surfaces)  # each bare and spaced surface at least
+    surfaces = [*lexicon.months, *lexicon.relative_days]
+    glued = [text for s in surfaces for g in _GLUE
+             for text in (s, g + s, s + g, g + s + g, "%s %s %s" % (g, s, g))]
+    found = 0
+    for text in docs + glued:
+        want = _oracle_anchors(lexicon, text)
+        assert _anchors(lexicon._scanner.re_anchor, text) == want, text
+        found += len(want)
+    assert found >= 2 * len(surfaces)  # each bare and spaced surface at least
 
 
 @settings(max_examples=100, deadline=None)
@@ -893,34 +1016,49 @@ def test_generated_lexicon_windowed_left_search_equals_unbounded(tmp_path_factor
     _check_left_searches(lexicon, data)
 
 
+def _months_and(sections):
+    return ("[months]\n" + "".join("%d = m%d\n" % (i, i) for i in range(1, 13) if i != 5)
+            + "5 = May\n" + sections)
+
+
 # A lexicon whose day ordinal is "," and whose connector holds a month name:
-# on "May.99 , May" the forward re_day_left match is "May.99 , " and the
-# reversed probe's match only "99 , ", so a probe can tell whether a match
-# ends at the anchor, but not where it starts.
-_PROBE_SPAN_LEXICON = ("[months]\n"
-                       + "".join("%d = m%d\n" % (i, i) for i in range(1, 13) if i != 5)
-                       + "5 = May\n[day_ordinals]\n2 = ,\n[connectors]\nMay.99\n")
+# on "May.99 , May" the forward day_left match is "May.99 , " and the reversed
+# one only "99 , ".  The loader refuses it.
+_PROBE_SPAN_LEXICON = _months_and("[day_ordinals]\n2 = ,\n[connectors]\nMay.99\n")
+# Connectors and day ordinals that hold separators and punctuation, and a
+# connector that is a month name.
+_WORDY_LEXICON = _months_and("[day_ordinals]\n2 = x|x.y\n3 = The Two\n"
+                             "[pre_modifiers]\nof.x = 1\nx.x = -1\n[connectors]\nof\nof of\nMay\n")
 
 
 @settings(max_examples=60, deadline=None)
 @given(source=_lexicon_file(),
        text=st.lists(_PIECES | st.sampled_from(["1999", "3", "31", " , ", "\t", "May.99"]),
-                     max_size=30).map("".join))
-@example(source=_PROBE_SPAN_LEXICON, text="May.99 , May")
-def test_generated_lexicon_probes_equal_forward_search(tmp_path_factory, source, text):
+                     max_size=30).map("".join),
+       floors=st.lists(st.integers(0, 60), min_size=1, max_size=4))
+@example(source=_WORDY_LEXICON, text="1999 of The Two of x.y, of of x.x of.x May",
+         floors=[0, 1, 4, 5, 9, 16, 19, 30])
+# Each breaks one rule of the loader, which refuses it; the reversed read
+# places the day or pre-modifier of the text elsewhere than a forward search.
+@example(source=_months_and("[day_ordinals]\n2 = x,\n3 = x\n"), text="x, May", floors=[0])
+@example(source=_months_and("[pre_modifiers]\nx- = 1\nx = -1\n"), text="x- May", floors=[0])
+@example(source=_months_and("[connectors]\n7\n"), text="7,7 May", floors=[0])
+@example(source=_months_and("[day_ordinals]\n2 = x\n[connectors]\nX\n"), text="x,x May",
+         floors=[0])
+def test_generated_lexicon_probes_equal_forward_search(tmp_path_factory, source, text, floors):
     # Surfaces made of punctuation and word pieces, glued to each other
-    # without separators, and every end in the text.
+    # without separators, every end in the text and floors before them.
     lexicon = _load_generated(tmp_path_factory, source)
     assume(lexicon is not None)
-    _check_left_text(lexicon._scanner, text, range(len(text) + 1))
+    _check_left_text(lexicon, text, range(len(text) + 1), floors)
 
 
 def test_probe_span_lexicon(tmp_path_factory):
-    # The explicit example above needs this lexicon to load, with these spans.
-    sc = _load_generated(tmp_path_factory, _PROBE_SPAN_LEXICON)._scanner
-    text = "May.99 , May"
-    assert sc.re_day_left.search(text, 0, 9).span() == (0, 9)
-    assert sc.rev_day_left.match(text[::-1], len(text) - 9).span() == (3, 8)   # "99 , "
+    # The reversed reads would misplace that lexicon's day contexts.
+    path = tmp_path_factory.getbasetemp() / "probe_span.lex"
+    path.write_text(_PROBE_SPAN_LEXICON, encoding="utf-8")
+    with pytest.raises(LoadError, match=r":15: ',' in \[day_ordinals\] starts or ends with"):
+        load_date_lexicon(path)
 
 
 def _oracle_records(text, lexicon, *args):
