@@ -13,11 +13,14 @@ full-text scan starts by consuming a character the regex engine can skip
 ahead to.  A month's left contexts (a day, a year, a pre-modifier) are each
 one match of a reversed pattern on the reversed text, back to no further
 than the end of the last candidate before the month, so a token that ends
-one date cannot start the next.  Overlaps are resolved in one walk in offset
-order, and only a run of overlapping matches goes through the
-longest-then-leftmost choice, so extraction is linear in document length.
+one date cannot start the next.  Only a day read last on a month's right
+stays open to the next month, and the overlap then goes to the longer date.
+Overlaps are resolved in one walk in offset order, and only a run of
+overlapping matches goes through the longest-then-leftmost choice, so
+extraction is linear in document length.
 Matches carry offset, length and a typed normal form; relative expressions
-can be resolved against a reference date.
+can be resolved against a reference date.  Candidates and matches are plain
+named tuples, and normal forms are tuples validated on construction.
 """
 
 from __future__ import annotations
@@ -88,9 +91,12 @@ class NormalizedDate(_DateFields):
         if month is not None and not 1 <= month <= 12:
             raise ValueError("month %r outside 1..12" % (month,))
         if day is not None:
-            limit = 31 if month is None else _MONTH_DAYS[month - 1]
-            if month == 2 and year is not None and not calendar.isleap(year):
+            if month is None:
+                limit = 31
+            elif month == 2 and year is not None and not calendar.isleap(year):
                 limit = 28
+            else:
+                limit = _MONTH_DAYS[month - 1]
             if not 1 <= day <= limit:
                 raise ValueError("day %r invalid for month %r year %r" % (day, month, year))
         return tuple.__new__(cls, (kind, year, month, day, rel_offset))
@@ -131,6 +137,11 @@ _SECTIONS = ("meta", "months", "day_ordinals", "relative_days", "pre_modifiers",
 _META_KEYS = ("language", "default_order")  # ``language`` is accepted and ignored
 
 
+def _surfaces(value):
+    """The non-empty ``|``-separated surfaces of a value, each stripped."""
+    return [s for s in map(str.strip, value.split("|")) if s]
+
+
 def load_date_lexicon(path) -> DateLexicon:
     """Parse a sectioned ``key = value`` parameter file (see data/lexicons).
 
@@ -159,12 +170,13 @@ def load_date_lexicon(path) -> DateLexicon:
             raise LoadError("%s:%d: content before first section" % (path, lineno))
         if name == "connectors":
             table.append(line)
-            connector_lines[line] = lineno
+            connector_lines.setdefault(line, lineno)
             continue
         key, eq, value = line.partition("=")
         if not eq:
             raise LoadError("%s:%d: expected 'key = value' in [%s]" % (path, lineno, name))
-        key, value = key.strip(), value.strip()
+        key = key.strip()
+        value = value.strip()
         if name == "meta":
             if key not in _META_KEYS:
                 raise LoadError("%s:%d: unknown [meta] key %r" % (path, lineno, key))
@@ -172,19 +184,24 @@ def load_date_lexicon(path) -> DateLexicon:
                 raise LoadError("%s:%d: duplicate [meta] key %r" % (path, lineno, key))
             table[key] = value
             continue
-        if name in ("months", "day_ordinals"):
+        if name == "months":
             try:
                 number = int(key)
             except ValueError as exc:
-                what = "month" if name == "months" else "day"
-                raise LoadError("%s:%d: %s index %r" % (path, lineno, what, key)) from exc
-            surfaces = [s for s in map(str.strip, value.split("|")) if s]
-            if name == "day_ordinals" and not 1 <= number <= 31:
-                raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, number))
-            if name == "months" and (not 1 <= number <= 12 or number in table.values()):
+                raise LoadError("%s:%d: month index %r" % (path, lineno, key)) from exc
+            if not 1 <= number <= 12 or number in table.values():
                 raise LoadError("%s:%d: bad or duplicate month index %d" % (path, lineno, number))
-            if name == "months" and not surfaces:
+            surfaces = _surfaces(value)
+            if not surfaces:
                 raise LoadError("%s:%d: month %d has no surfaces" % (path, lineno, number))
+        elif name == "day_ordinals":
+            try:
+                number = int(key)
+            except ValueError as exc:
+                raise LoadError("%s:%d: day index %r" % (path, lineno, key)) from exc
+            if not 1 <= number <= 31:
+                raise LoadError("%s:%d: day index %d outside 1..31" % (path, lineno, number))
+            surfaces = _surfaces(value)
         else:
             if not key:
                 raise LoadError("%s:%d: empty surface in [%s]" % (path, lineno, name))
@@ -220,11 +237,14 @@ def load_date_lexicon(path) -> DateLexicon:
 
 
 def _check_reading(path, tables, line_of):
-    """Refuse, at its first line, what would make ``_Scanner`` read other than forward
-    left-context searches and separate month and relative-day scans: a connector,
-    day ordinal or pre-modifier that starts or ends with ``,`` or ``-``, a connector
-    that holds a digit (``\\d``) or a day-ordinal word, ignoring case, or a month
-    and a relative day that one text can hold as overlapping whole words."""
+    """Refuse, at its first line, what ``_Scanner`` would read otherwise than
+    forward left-context searches and separate month and relative-day scans.
+
+    That is a connector, day ordinal or pre-modifier that starts or ends with
+    ``,`` or ``-``, a connector that holds a digit (``\\d``) or a day-ordinal
+    word, ignoring case, and a month and a relative day that one text can hold
+    as overlapping whole words.
+    """
     faults = [(line_of(s, name == "connectors"),
                "%r in [%s] starts or ends with ',' or '-'" % (s, name))
               for name in ("connectors", "day_ordinals", "pre_modifiers")
@@ -242,14 +262,20 @@ def _check_reading(path, tables, line_of):
 
 
 def _words(surfaces):
-    """Words of the surfaces, keyed so that ``re.IGNORECASE``-equal ones meet (İ: i, U+0307)."""
+    """The words of the surfaces, keyed so that ``re.IGNORECASE``-equal ones meet.
+
+    Upper-casing the lower-cased word and dropping U+0307 also keys ``İ`` as ``i``.
+    """
     return set(" ".join(surfaces).replace(",", " ").lower().upper().replace("\u0307", "").split())
 
 
 def _overlap(months, relative_days):
-    """A month and a relative day that one text can hold as overlapping whole words,
-    or None.  The one starting inside the other starts with a word of the other
-    or with a non-word character, so most lexicons are cleared by their words."""
+    """A month and a relative day that one text can hold as overlapping whole
+    words, or None.
+
+    The one starting inside the other starts with a word of the other or with
+    a non-word character, so most lexicons are cleared by their words.
+    """
     joined = "\n".join(months), "\n".join(relative_days)
     if not (set(_RE_WORD.findall(joined[0])) & set(_RE_WORD.findall(joined[1]))
             or _RE_LEAD_NONWORD.search("\n".join(joined))):
@@ -259,7 +285,12 @@ def _overlap(months, relative_days):
         for a in surfaces:
             for p in (m.start() for m in _RE_WORD_START.finditer(a)):
                 for q in (m.start() for m in _RE_WORD_END.finditer(a, p + 1)):
-                    b = heads.get(a[p:]) if q == len(a) else a[p:q] if a[p:q] in others else None
+                    if q == len(a):
+                        b = heads.get(a[p:])        # a ends inside b
+                    elif a[p:q] in others:
+                        b = a[p:q]                  # b lies inside a
+                    else:
+                        continue
                     if b is not None:
                         return a, b
     return None
@@ -333,14 +364,18 @@ def infer_document_order(candidates, default: str = ORDER_DMY) -> str:
     """Document-wide field order from unambiguous numeric candidates."""
     forced_dmy = any(c.dmy_possible and not c.mdy_possible for c in candidates)
     forced_mdy = any(c.mdy_possible and not c.dmy_possible for c in candidates)
-    if forced_mdy != forced_dmy:
-        return ORDER_MDY if forced_mdy else ORDER_DMY
+    if forced_mdy and not forced_dmy:
+        return ORDER_MDY
+    if forced_dmy and not forced_mdy:
+        return ORDER_DMY
     return default
 
 
 def _expand_year(field: str) -> int:
     year = int(field)
-    return year if len(field) != 2 else year + (2000 if year < 50 else 1900)
+    if len(field) == 2:
+        return 2000 + year if year < 50 else 1900 + year
+    return year
 
 
 # --------------------------------------------------------------------------
@@ -369,9 +404,10 @@ def _word_pattern(surfaces):
 
     The longest-first alternation is grouped by first character, and each
     group checks that no word character precedes the surface only after
-    consuming that character (``(?<!\\w.)``, under ``re.S``), so that the regex
-    engine skips to the positions that can start a match instead of trying
-    an assertion at every position.
+    consuming that character (``(?<!\\w.)``, under ``re.S``).  A pattern led by
+    such consuming branches gets a first-character prefilter from the regex
+    engine, which then skips to the positions that can start a match; one led
+    by an assertion would be tried at every position.
     """
     groups = {}
     for s in sorted(surfaces, key=len, reverse=True):
@@ -424,7 +460,8 @@ class _Scanner:
         A match ``m`` reads ``text[len(text) - m.end():end]``, what the forward
         pattern's ``.search(text, floor, end)`` finds.  At the ``endpos`` the
         closing ``(?!\w)`` sees the end of the string, so a match that starts at
-        ``floor`` after a word character is read again from past that word."""
+        ``floor`` after a word character is read again from past that word.
+        """
         n = len(text)
         m = pattern.match(rev, n - end, n - floor)
         if m is not None and m.end() == n - floor:
@@ -434,18 +471,26 @@ class _Scanner:
         return m
 
     def parse_day(self, surface: str):
-        day = self.lexicon.day_ordinals.get(surface)
-        if day is None and surface.isdigit() and 1 <= int(surface) <= 31:
-            day = int(surface)
-        return day
+        day_ordinals = self.lexicon.day_ordinals
+        if surface in day_ordinals:
+            return day_ordinals[surface]
+        if surface.isdigit():
+            value = int(surface)
+            if 1 <= value <= 31:
+                return value
+        return None
 
     def compose_spelled_year(self, words):
         """Compose number words into a year value; None if not a year.
 
-        Pairs grammar: (19)(84) -> 1984, with tens+units grouping.  The thousand
-        form (two thousand and two) is flagged, for day-bearing dates only."""
+        Pairs grammar: (19)(84) -> 1984, with tens+units grouping.  The
+        thousand form (two thousand and two) is flagged so callers can
+        restrict it to day-bearing dates.
+        """
         vals = [self.lexicon.number_words[w] for w in words]
         vals = [v for v in vals if v != 0]  # join words like "and"
+        if not vals:
+            return None, False
         if 1000 in vals:
             i = vals.index(1000)
             head, tail = vals[:i], vals[i + 1:]
@@ -462,26 +507,34 @@ class _Scanner:
 
 def _group_tens(vals):
     out = []
-    for v in vals:
-        if out and out[-1] % 10 == 0 and 20 <= out[-1] <= 90 and 1 <= v <= 9:
-            out[-1] += v
+    i = 0
+    while i < len(vals):
+        v = vals[i]
+        if v % 10 == 0 and 20 <= v <= 90 and i + 1 < len(vals) and 1 <= vals[i + 1] <= 9:
+            out.append(v + vals[i + 1])
+            i += 2
         else:
             out.append(v)
+            i += 1
     return out
 
 
-def find_lexical_dates(text: str, lexicon: DateLexicon, numeric=()):
+def find_lexical_dates(text: str, lexicon: DateLexicon, numeric):
     """Month-anchored and relative-day candidates (not yet validated), in offset order.
 
     A month's left context reads back no further than the furthest end of the
     candidates that start before it, ``numeric`` (``find_numeric_dates``)
-    included, so that a token that ends one date does not start the next."""
+    included, so that a token that ends one date does not start the next.  A
+    day read last on a month's right is the one exception: it can be the next
+    month's day, and the overlap goes to the longer date, so "In May, 12 June
+    2003" gives ``12 June 2003``.
+    """
     sc = lexicon._scanner
     read_left = sc.read_left
     n = len(text)
     rev = text[::-1]
     candidates = []
-    reach = 0               # the furthest end of the candidates before the anchor
+    reach = 0               # the furthest claimed end of the candidates before the anchor
     numeric = iter(numeric)
     nxt = next(numeric, None)
     for m in sc.re_anchor.finditer(text):
@@ -520,20 +573,21 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric=()):
             if rm is not None:
                 rel_offset = lexicon.relative_years[rm.group(1)]
                 end = rm.end(1)
+        claimed = end           # the end of the date but a day read last on the right
         if rel_offset is None:
             for _ in range(2):
                 if year is None:
                     rm = sc.re_year_right.match(text, end)
                     if rm is not None:
                         year = int(rm.group(1))
-                        end = rm.end(1)
+                        end = claimed = rm.end(1)
                         continue
                     rm = sc.re_numseq.match(text, end)
                     if rm is not None:
                         words = _RE_WORD_SEP.split(rm.group(1))
                         year, spelled_thousand = sc.compose_spelled_year(words)
                         if year is not None:
-                            end = rm.end(1)
+                            end = claimed = rm.end(1)
                             continue
                 if day is None:
                     rm = sc.re_day_right.match(text, end)
@@ -547,7 +601,7 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric=()):
         # The thousand form of a spelled year only counts inside a full date.
         if spelled_thousand and day is None:
             year = None
-            end = month_end
+            end = claimed = month_end
 
         # A relative year is only looked for when neither a day nor a year was
         # found, so each kind below leaves the fields it does not carry None.
@@ -565,7 +619,7 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric=()):
             rel_offset = lexicon.pre_modifiers[pm.group(1)[::-1]]
         candidates.append(LexicalCandidate(start, end - start, text[start:end], kind,
                                            year, month, day, rel_offset))
-        reach = max(reach, end)
+        reach = max(reach, claimed)
     return candidates
 
 
@@ -573,8 +627,10 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric=()):
 # normalization and resolution
 
 def _numeric_reading(c, document_order, reject_two_digit_years):
-    """The (kind, year, month, day, rel_offset) fields of a numeric candidate;
-    ValueError, naming the reason, when the candidate has no reading."""
+    """The (kind, year, month, day, rel_offset) fields of a numeric candidate.
+
+    Raises ValueError, naming the reason, when the candidate has no reading.
+    """
     if c.ymd:
         return DateKind.FULL, int(c.f1), int(c.f2), int(c.f3), None
     if reject_two_digit_years and len(c.f3) == 2 and len(c.f1) == 1 and len(c.f2) == 1:
@@ -589,8 +645,10 @@ def _numeric_reading(c, document_order, reject_two_digit_years):
 
 def normalize_match(candidate, document_order: str, reject_two_digit_years: bool = False,
                     diagnostics=None):
-    """Turn a finder candidate into a DateMatch; None when discarded, with
-    (offset, surface, reason) on the diagnostics list."""
+    """Turn a finder candidate into a DateMatch; None when discarded.
+
+    Discards land on the diagnostics list as (offset, surface, reason).
+    """
     try:
         normal = NormalizedDate(*(
             _numeric_reading(candidate, document_order, reject_two_digit_years)
@@ -618,11 +676,14 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
         return NormalizedDate(DateKind.FULL, year=resolved.year,
                               month=resolved.month, day=resolved.day)
     if k is DateKind.RELATIVE_MONTH:
-        # "next" is the first such month after the reference month, "last"
-        # the last before it, "this" the reference year's.
-        month, later, earlier = normal.month, normal.rel_offset > 0, normal.rel_offset < 0
-        year = reference.year + (later and month <= reference.month) - (
-            earlier and month >= reference.month)
+        sign = normal.rel_offset
+        month = normal.month
+        if sign > 0:
+            year = reference.year + (0 if month > reference.month else 1)
+        elif sign < 0:
+            year = reference.year - (0 if month < reference.month else 1)
+        else:
+            year = reference.year
     elif k is DateKind.MONTH_RELATIVE_YEAR:
         year, month = reference.year + normal.rel_offset, normal.month
     else:
@@ -638,8 +699,10 @@ _offset = operator.attrgetter("offset")
 def _resolve_overlaps(run):
     """The matches of a run that the longest-then-leftmost choice keeps, sorted by offset.
 
-    Kept matches stay sorted by offset and disjoint, so their ends are sorted too
-    and only the last kept match starting before a candidate's end can overlap it."""
+    Kept matches stay sorted by offset and disjoint, so their ends are sorted
+    too and only the last kept match starting before a candidate's end can
+    overlap it.
+    """
     run.sort(key=lambda m: (-m.length, m.offset))
     kept = []
     for m in run:
@@ -654,8 +717,10 @@ def _drop_overlaps(matches):
     """The matches that overlapping ones do not outrank, sorted by offset.
 
     In offset order, a match that starts at or after the furthest end seen so
-    far opens a new run.  The runs are the connected parts of the overlap
-    relation, so each is resolved on its own; a run of one is kept as it is."""
+    far opens a new run; the runs are the connected parts of the overlap
+    relation, so resolving each on its own keeps what resolving all at once
+    would.  A run of one is kept as it is.
+    """
     kept = []
     run = None              # the current run, once a second match joins it
     reach = 0               # the furthest end of the current run
@@ -686,9 +751,12 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     if default not in (ORDER_DMY, ORDER_MDY):
         raise ConfigError("default order must be dmy or mdy, got %r" % default_order)
     order = infer_document_order(numeric, default)
+    # Overlaps keep the longest match, then the leftmost, within each run of
+    # overlapping matches.
     kept = _drop_overlaps([
         m for cand in numeric + find_lexical_dates(text, lexicon, numeric)
         if (m := normalize_match(cand, order, reject_two_digit_years, diagnostics)) is not None])
+
     if reference is not None:
         for i, m in enumerate(kept):
             if m.normal.rel_offset is not None:

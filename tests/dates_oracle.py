@@ -9,6 +9,7 @@ with a forward search over the text between the floor and the month, and
 ones.  The numeric, month and relative-day patterns start with their
 lookbehind, with no first-character filter, and months and relative days are
 two scans.  Each anchor's floor is recomputed from every candidate so far,
+except that a day read last on a month's right may be the next month's day,
 and overlaps are resolved by a pairwise scan.
 """
 
@@ -124,10 +125,12 @@ class NormalizedDate:
 
 
 def _scan_month(text, m, sc, left, floor):
+    """The candidate at month match ``m``, or None, and the end of what it claims
+    from the next month's left context: all of it but a day read last on the right."""
     month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
     anchor = start
-    day = year = rel_year = None
+    day = year = rel_year = day_right = None
     spelled_thousand = False
 
     lm = left["day_left"].search(text, floor, anchor)
@@ -179,6 +182,7 @@ def _scan_month(text, m, sc, left, floor):
                     parsed = sc.parse_day(rm.group(1))
                     if parsed is not None:
                         day = parsed
+                        day_right = (pos, rm.end(1))
                         pos = end = rm.end(1)
                         matched = True
             if not matched:
@@ -189,50 +193,58 @@ def _scan_month(text, m, sc, left, floor):
         end = m.end(1)
 
     if rel_year is not None:
-        return LexicalCandidate(offset=start, length=end - start,
+        cand = LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.MONTH_RELATIVE_YEAR,
                                 month=month, rel_offset=rel_year)
-    if day is not None and year is not None:
-        return LexicalCandidate(offset=start, length=end - start,
+    elif day is not None and year is not None:
+        cand = LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.FULL,
                                 year=year, month=month, day=day)
-    if year is not None:
-        return LexicalCandidate(offset=start, length=end - start,
+    elif year is not None:
+        cand = LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.YEAR_MONTH,
                                 year=year, month=month)
-    if day is not None:
-        return LexicalCandidate(offset=start, length=end - start,
+    elif day is not None:
+        cand = LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.MONTH_DAY,
                                 month=month, day=day)
-    pm = left["premod"].search(text, floor, anchor)
-    if pm is not None:
+    else:
+        pm = left["premod"].search(text, floor, anchor)
+        if pm is None:
+            return None, None
         start = pm.start(1)
-        return LexicalCandidate(offset=start, length=end - start,
+        cand = LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
                                 month=month,
                                 rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
-    return None
+    if day_right is not None and day_right[1] == end:
+        return cand, day_right[0]
+    return cand, end
 
 
-def find_lexical_dates(text, lexicon, numeric=()):
+def find_lexical_dates(text, lexicon, numeric):
     """Each anchor's left context reads from the furthest end of the candidates
-    that start before it, but no further right than the anchor."""
+    that start before it, but no further right than the anchor; a lexical
+    candidate ends, for this, where ``_scan_month`` says its claim ends."""
     sc = lexicon._scanner
     left = left_patterns(lexicon)
     anchors = [(m.start(), m, True) for m in month_pattern(lexicon).finditer(text)]
     if lexicon.relative_days:
         anchors += [(m.start(), m, False) for m in relday_pattern(lexicon).finditer(text)]
     candidates = []
+    claims = [(c.offset, c.offset + c.length) for c in numeric]
     for start, m, is_month in sorted(anchors, key=lambda a: a[0]):
         if is_month:
-            ends = [c.offset + c.length for c in [*numeric, *candidates] if c.offset < start]
-            c = _scan_month(text, m, sc, left, min(start, max(ends, default=0)))
+            ends = [e for s, e in claims if s < start]
+            c, claim = _scan_month(text, m, sc, left, min(start, max(ends, default=0)))
             if c is not None:
                 candidates.append(c)
+                claims.append((c.offset, claim))
         else:
             candidates.append(LexicalCandidate(
                 offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
                 kind=DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[m.group(1)]))
+            claims.append((m.start(), m.end()))
     return candidates
 
 

@@ -546,6 +546,10 @@ class TestYearSharedByNeighbours:
         # No left context starts inside the word a numeric date ends.
         ("Filed 12/05/2003first June, 12/05/2003next June.",
          [("12/05/2003", "2003-05-12"), ("12/05/2003", "2003-05-12")]),
+        # A day read last on a month's right can be the next month's day, and
+        # the longer date wins.
+        ("In May, 12 June 2003", [("12 June 2003", "2003-06-12")]),
+        ("May, the 12th of June 2003", [("12th of June 2003", "2003-06-12")]),
     ])
     def test_shapes(self, lexicon_en, text, expected):
         assert [(m.surface, m.normal.to_string())
@@ -912,12 +916,57 @@ def _lexicon_file(draw):
         keys = take(st.integers(0, 4), _EDGES if section == "pre_modifiers" else None)
         if section == "relative_days":
             # None that the loader refuses for overlapping a month.
-            keys = [k for k in keys if not dates._overlap(months, [k.strip()])]
+            keys = [k for k in keys if not any(_can_overlap(m, k.strip()) for m in months)]
         lines.append("[%s]" % section)
         lines += ["%s = %d" % (key, draw(values)) for key in keys]
     lines.append("[connectors]")
     lines += take(st.integers(0, 3), _EDGES + r"|\d")
     return "\n".join(lines) + "\n"
+
+
+def _can_overlap(a, b):
+    """Whether one text can hold ``a`` and ``b`` as overlapping whole words.
+
+    Each placement of one starting inside the other that agrees on the shared
+    characters is tried in the shortest text holding both, whose ends are the
+    only characters around them that a longer text could change.
+    """
+    for x, y in ((a, b), (b, a)):
+        for d in range(len(x)):         # y starts at x[d]
+            text = x + y[len(x) - d:]
+            if (text[d:d + len(y)] == y and _whole_word(x, text, 0)
+                    and _whole_word(y, text, d)):
+                return True
+    return False
+
+
+def _whole_word(surface, text, pos):
+    return re.compile(r"(?<!\w)%s(?!\w)" % re.escape(surface)).match(text, pos) is not None
+
+
+_ANCHOR_PIECES = st.sampled_from(["m1", "m", "x", "y", "_", "3", "\u00e9", " ", ".", "-"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(months=st.lists(st.lists(_ANCHOR_PIECES, min_size=1, max_size=4).map("".join),
+                       min_size=1, max_size=3),
+       relative_days=st.lists(st.lists(_ANCHOR_PIECES, min_size=1, max_size=4).map("".join),
+                              min_size=1, max_size=3))
+def test_loader_refuses_exactly_overlapping_anchors(tmp_path_factory, months, relative_days):
+    months = sorted({"m12" + m.strip() for m in months} - {"m12"})
+    others = ["m%d" % i for i in range(1, 12)]
+    relative_days = sorted({r.strip() for r in relative_days} - {""} - set(months + others))
+    assume(months and relative_days)
+    path = tmp_path_factory.getbasetemp() / "anchors.lex"
+    path.write_text("[months]\n" + "".join("%d = m%d\n" % (i, i) for i in range(1, 12))
+                    + "12 = " + "|".join(months) + "\n[relative_days]\n"
+                    + "".join("%s = 0\n" % r for r in relative_days), encoding="utf-8")
+    overlapping = any(_can_overlap(m, r) for m in months + others for r in relative_days)
+    if overlapping:
+        with pytest.raises(LoadError, match="can overlap in a text$"):
+            load_date_lexicon(path)
+    else:
+        assert sorted(load_date_lexicon(path).relative_days) == relative_days
 
 
 def _load_generated(tmp_path_factory, source):
