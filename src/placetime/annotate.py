@@ -2,7 +2,8 @@
 
 Standoff records are JSON Lines, one self-describing object per match.
 Inline annotation wraps each match as ``[[kind|normal|surface]]``;
-stripping the markers restores the original text exactly.
+stripping the markers restores the original text exactly when the text holds
+no ``[[`` or ``]]`` of its own (``x [[ Paris ]] y`` strips back to ``x Paris ]] y``).
 """
 
 from __future__ import annotations

@@ -91,9 +91,7 @@ class NormalizedDate(_DateFields):
         if month is not None and not 1 <= month <= 12:
             raise ValueError("month %r outside 1..12" % (month,))
         if day is not None:
-            if month is None:
-                limit = 31
-            elif month == 2 and year is not None and not calendar.isleap(year):
+            if month == 2 and year is not None and not calendar.isleap(year):
                 limit = 28
             else:
                 limit = _MONTH_DAYS[month - 1]

@@ -63,7 +63,7 @@ def read_lines(path, what):
         raise LoadError("%s:%d: not UTF-8" % (path, data.count(b"\n", 0, exc.start) + 1)) from exc
     if not lines[-1]:
         lines.pop()
-    return [line.removesuffix("\r") for line in lines]
+    return [line.removesuffix("\r") for line in lines] if b"\r" in data else lines
 
 
 def tsv_records(path, what, nfields):

@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import itemgetter, mul
 from pathlib import Path
 
-from .errors import ConfigError, DecodeError, LoadError, ScoringError, TrainingError
+from .errors import ConfigError, DecodeError, LoadError, ScoringError, TrainingError, read_lines
 
 # Registry name -> Python codec name.
 ENCODING_REGISTRY = {
@@ -170,12 +170,7 @@ def save_profile(profile: LangEncProfile, path) -> None:
 
 def load_profile(path) -> LangEncProfile:
     """Read a :func:`save_profile` file; LoadError names the first line breaking its rules."""
-    path = Path(path)
-    # An undecodable byte becomes a lone surrogate, which no field accepts.
-    try:
-        lines = path.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
-    except OSError as exc:
-        raise LoadError("cannot read profile %s: %s" % (path, exc)) from exc
+    lines = read_lines(path, "profile")
     header = lines[0].split() if lines else []
     try:
         if len(header) != 4 or header[0] != "#langenc":

@@ -62,6 +62,8 @@ class TestIdentify:
                              "--profiles", str(tmp_path / "nowhere"))
         assert code == 2
         assert err
+        code, out, err = run(capsys, "identify", str(doc), "--profiles", str(tmp_path))
+        assert (code, out, err) == (2, "", "placetime: no *.prof files in %s\n" % tmp_path)
 
     def test_unreadable_file_partial(self, capsys, tmp_path, profile_dir):
         good = tmp_path / "good.txt"
@@ -84,7 +86,8 @@ class TestIdentify:
         doc.write_bytes(corpusgen.snippets(corpusgen.labels()[0], 1, 500, seed=2)[0])
         code, out, err = run(capsys, "identify", str(doc), "--profiles", str(profiles))
         assert code == 2 and out == ""
-        assert err.startswith("placetime: %s:3: malformed record " % bad)
+        problem = "malformed record " if record.isascii() else "not UTF-8\n"
+        assert err.startswith("placetime: %s:3: %s" % (bad, problem))
         assert len(err.splitlines()) == 1
 
 
@@ -627,6 +630,19 @@ def test_unreadable_path_message(capsys, tmp_path, monkeypatch, profile_dir, com
     code, out, err = run(capsys, command, name, *flags)
     assert (code, out) == (1, "")
     assert err == "placetime: %s: %s\n" % (name, message % name)
+
+
+@pytest.mark.parametrize("command, flag, what, name", [
+    ("dates", "--lexicon", "lexicon", "nope.lex"),
+    ("places", "--gazetteer", "gazetteer", "nope.tsv"),
+])
+def test_missing_data_file_exit_2(capsys, tmp_path, monkeypatch, command, flag, what, name):
+    (tmp_path / "doc.txt").write_text("Paris, 21 March 2001.")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "doc.txt", flag, name)
+    assert (code, out) == (2, "")
+    assert err.startswith("placetime: cannot read %s %s: " % (what, name))
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["dates", "places"])

@@ -11,7 +11,7 @@ from placetime.dates import (DateKind, DateMatch, NormalizedDate, extract_dates,
                              find_lexical_dates, find_numeric_dates,
                              infer_document_order, load_date_lexicon,
                              normalize_match, resolve_relative)
-from placetime.errors import ContractError, LoadError, PlacetimeError
+from placetime.errors import ConfigError, ContractError, LoadError, PlacetimeError
 
 import dates_oracle
 
@@ -253,6 +253,8 @@ class TestOrderInference:
 
     def test_default_override(self, lexicon_en):
         assert normals("01/02/03", lexicon_en, default_order="MDY") == ["2003-01-02"]
+        with pytest.raises(ConfigError, match="^default order must be dmy or mdy, got 'ymd'$"):
+            extract_dates("01/02/03", lexicon_en, default_order="ymd")
 
     def test_idempotent_on_normalized_output(self):
         cands = find_numeric_dates("12/31/03 then 01/02/03")
@@ -267,6 +269,18 @@ class TestLexicalFinder:
         out = extract_dates("the sixth of March in the year nineteen eighty four",
                             lexicon_en)
         assert [m.normal.to_string() for m in out] == ["1984-03-06"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("Signed 5 May two thousand and two.", [("5 May two thousand and two", "2002-05-05")]),
+        ("May 5, two thousand and two", [("May 5, two thousand and two", "2002-05-05")]),
+        ("5 May two thousand", [("5 May two thousand", "2000-05-05")]),
+        # The thousand form of a spelled year only counts inside a full date.
+        ("In May two thousand and two.", []),
+    ])
+    def test_spelled_thousand_year(self, lexicon_en, text, expected):
+        found = extract_dates(text, lexicon_en)
+        assert [(m.surface, m.normal.to_string()) for m in found] == expected
+        assert _records(found) == _records(dates_oracle.extract_dates(text, lexicon_en))
 
     def test_year_month_and_month_day(self, lexicon_en):
         assert normals("Jan. 2003", lexicon_en) == ["2003-01"]

@@ -67,6 +67,18 @@ class TestLoad:
         with pytest.raises(LoadError):
             load_gazetteer(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1\t\t\tFR\t0\t0\t1", "empty canonical name"),
+        ("1\tA\ta||b\tFR\t0\t0\t1", "empty variant"),
+        ("1\tA\t\tFR\t91\t0\t1", "coordinates out of range"),
+    ])
+    def test_bad_row_names_line(self, tmp_path, row, message):
+        path = tmp_path / "g.tsv"
+        path.write_text(row + "\n")
+        with pytest.raises(LoadError) as excinfo:
+            load_gazetteer(path)
+        assert str(excinfo.value) == "%s:1: %s" % (path, message)
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("1\tA\t\tFR\t0\t0\t1\n1\tB\t\tDE\t0\t0\t1\n")

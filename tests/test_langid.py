@@ -201,11 +201,14 @@ class TestProfileFiles:
         b"B 1 2 -3",         # negative count
         b"T 1 2 3 x",
         b"B 1 2 \xff",       # not UTF-8
+        b"B 4 5 6\x0cB 7 8 9\rT 1 2 3 1",  # a record ends at a line feed only
     ])
     def test_malformed_record_names_line(self, tmp_path, record):
         path = tmp_path / "bad.prof"
         path.write_bytes(b"#langenc en UTF-8 9\nB 1 2 3\n\n" + record + b"\nT 1 2 3 1\n")
-        with pytest.raises(langid.LoadError, match=r"bad\.prof:4: malformed record "):
+        # A bad byte fails the file's read, before any record is parsed.
+        problem = "malformed record " if record.isascii() else "not UTF-8$"
+        with pytest.raises(langid.LoadError, match=r"bad\.prof:4: " + problem):
             langid.load_profile(path)
 
     @pytest.mark.parametrize("body,lineno,record", [

@@ -22,6 +22,10 @@ LOADERS = {
     "profile": (langid.load_profile, None),  # no profile ships; one is trained below
 }
 
+# Loader name -> what its message for a file it cannot read calls the file.
+_WHAT = {"gazetteer": "gazetteer", "triggers": "trigger file", "stopwords": "stop-word list",
+         "lexicon": "lexicon", "outline": "outline", "profile": "profile"}
+
 # Byte strings that mean something to at least one format.
 _TOKENS = st.sampled_from([b"\t", b"|", b"=", b"[", b"]", b"#", b",", b" ", b"-1", b"0",
                            b"256", b"nan", b"inf", b"1e999", b"9" * 5000, b"T", b"B",
@@ -85,6 +89,20 @@ def test_loader_error_names_line(tmp_path_factory, shipped, name, data):
     except LoadError as exc:
         assert str(exc).startswith("%s:" % path)
         assert str(exc)[len(str(path)) + 1:].split(":")[0].isdigit(), str(exc)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_loader_follows_reading_rules(tmp_path, shipped, name):
+    load = LOADERS[name][0]
+    path = tmp_path / "bad"
+    path.write_bytes(shipped[name][0] + b"\n\xff\n")
+    with pytest.raises(LoadError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == "%s:2: not UTF-8" % path
+    missing = tmp_path / "missing"
+    with pytest.raises(LoadError) as excinfo:
+        load(missing)
+    assert str(excinfo.value).startswith("cannot read %s %s: " % (_WHAT[name], missing))
 
 
 @pytest.mark.parametrize("sep", ["\x85", "\u2028", "\x0c"], ids=["NEL", "LS", "FF"])
