@@ -32,6 +32,7 @@ ENCODING_REGISTRY = {
 _ALPHABET = 256
 _UNSEEN_BIGRAM = math.log(1 / _ALPHABET)
 _BYTE = {str(i): i for i in range(_ALPHABET)}
+_DECIMAL = {i: text for text, i in _BYTE.items()}
 _PREFIX = itemgetter(slice(2))
 
 
@@ -156,22 +157,31 @@ def save_profile(profile: LangEncProfile, path) -> None:
     """Write a profile in the line-oriented text format.
 
     Header ``#langenc <lang> <encoding> <total_bytes>``, then one record
-    per line: ``B b1 b2 count`` / ``T b1 b2 b3 count``.  Bytes are plain
-    decimals from 0 to 255 and counts are integers >= 0; the file is UTF-8.
+    per line: every ``B b1 b2 count``, then every ``T b1 b2 b3 count``,
+    each group sorted by its bytes, so that saving a loaded profile writes
+    the same bytes again.  Fields are separated by one space; bytes, counts
+    and ``total_bytes`` are plain ASCII decimals (0 to 255 for a byte, >= 0
+    otherwise); the file is UTF-8.
     """
+    bi, tri = profile.bigram_counts, profile.trigram_counts
     lines = ["#langenc %s %s %d" % (profile.label.language, profile.label.encoding,
                                     profile.total_bytes)]
-    for (b1, b2), n in sorted(profile.bigram_counts.items()):
-        lines.append("B %d %d %d" % (b1, b2, n))
-    for (b1, b2, b3), n in sorted(profile.trigram_counts.items()):
-        lines.append("T %d %d %d %d" % (b1, b2, b3, n))
+    # Keys are unique, so sorting them gives the order sorting (key, count)
+    # pairs would, at about half the cost.
+    lines += [f"B {_DECIMAL[k[0]]} {_DECIMAL[k[1]]} {bi[k]}" for k in sorted(bi)]
+    lines += [f"T {_DECIMAL[k[0]]} {_DECIMAL[k[1]]} {_DECIMAL[k[2]]} {tri[k]}"
+              for k in sorted(tri)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_profile(path) -> LangEncProfile:
-    """Read a :func:`save_profile` file; LoadError names the first line breaking its rules."""
+    """Read a :func:`save_profile` file; LoadError names the first line breaking its rules.
+
+    Only what :func:`save_profile` writes is read: fields separated by one
+    space, and plain ASCII decimals.  An empty line is skipped.
+    """
     lines = read_lines(path, "profile")
-    header = lines[0].split() if lines else []
+    header = lines[0].split(" ") if lines else []
     try:
         if len(header) != 4 or header[0] != "#langenc":
             raise ValueError("missing or malformed #langenc header")
@@ -179,32 +189,44 @@ def load_profile(path) -> LangEncProfile:
         total = int(header[3])
         if total < 0:
             raise ValueError("negative total_bytes %d" % total)
+        if str(total) != header[3]:
+            raise ValueError("total_bytes %r is not a plain decimal" % header[3])
     except ValueError as exc:
         raise LoadError("%s:1: %s" % (path, exc)) from exc
     bigrams, trigrams = {}, {}
     blank = 0
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if not fields:
+        if not line:
             blank += 1
             continue
+        fields = line.split(" ")
         try:
             if len(fields) == 5 and fields[0] == "T":
                 _, b1, b2, b3, n = fields
-                trigrams[_BYTE[b1], _BYTE[b2], _BYTE[b3]] = n = int(n)
+                trigrams[_BYTE[b1], _BYTE[b2], _BYTE[b3]] = _BYTE.get(n) or _count(n)
             elif len(fields) == 4 and fields[0] == "B":
                 _, b1, b2, n = fields
-                bigrams[_BYTE[b1], _BYTE[b2]] = n = int(n)
+                bigrams[_BYTE[b1], _BYTE[b2]] = _BYTE.get(n) or _count(n)
             else:
                 raise ValueError("bad record")
-            if n < 0:
-                raise ValueError("negative count")
         except (KeyError, ValueError) as exc:
             raise LoadError("%s:%d: malformed record %r" % (path, lineno, line)) from exc
     if len(bigrams) + len(trigrams) != len(lines) - 1 - blank:
         _raise_duplicate(path, lines)
     return LangEncProfile(label=label, bigram_counts=bigrams,
                           trigram_counts=trigrams, total_bytes=total)
+
+
+def _count(text):
+    """``text`` read as a count, when it is spelt as :func:`save_profile` writes one.
+
+    Counts below 256 are read through ``_BYTE``, so only 0 and larger counts
+    reach this check.
+    """
+    n = int(text)
+    if n < 0 or str(n) != text:  # a sign, "_", a leading zero, padding or a non-ASCII digit
+        raise ValueError("count %r is not a plain decimal" % text)
+    return n
 
 
 def _raise_duplicate(path, lines):

@@ -1,11 +1,16 @@
-"""The scoring loop and trainer that ``langid.identify`` and ``langid.train_profile``
-replaced, kept as the reference the tests compare them against.
+"""The scoring loop, trainer and writer that ``langid.identify``,
+``langid.train_profile`` and ``langid.save_profile`` replaced, kept as the
+reference the tests compare them against.
 
 Here every profile counts the text's trigrams again and walks them one at a
-time, and training counts bigrams and trigrams in two separate passes.
+time, computing each log-probability from the profile's counts rather than
+reading the tables the profile builds; training counts bigrams and trigrams
+in two separate passes; and saving sorts each table's (key, count) pairs.
 """
 
+import math
 from collections import Counter
+from pathlib import Path
 
 from placetime.errors import ScoringError, TrainingError
 from placetime.langid import _UNSEEN_BIGRAM, LangEncProfile, ScoredLabel
@@ -20,15 +25,29 @@ def train_profile(corpus, label):
                           trigram_counts=dict(trigrams), total_bytes=len(corpus))
 
 
+def save_profile(profile, path):
+    lines = ["#langenc %s %s %d" % (profile.label.language, profile.label.encoding,
+                                    profile.total_bytes)]
+    for (b1, b2), n in sorted(profile.bigram_counts.items()):
+        lines.append("B %d %d %d" % (b1, b2, n))
+    for (b1, b2, b3), n in sorted(profile.trigram_counts.items()):
+        lines.append("T %d %d %d %d" % (b1, b2, b3, n))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def score_text(profile, text):
     if len(text) < 3:
         raise ScoringError("text must hold at least 3 bytes, got %d" % len(text))
-    tri_logs, bi_logs = profile._log_tables
+    trigrams, bigrams = profile.trigram_counts, profile.bigram_counts
     total = 0.0
     for key, n in Counter(zip(text, text[1:], text[2:])).items():
-        logp = tri_logs.get(key)
-        if logp is None:
-            logp = bi_logs.get(key[:2], _UNSEEN_BIGRAM)
+        t, b = trigrams.get(key), bigrams.get(key[:2])
+        if t is not None:
+            logp = math.log((t + 1) / ((b or 0) + 256))
+        elif b is not None:
+            logp = math.log(1 / (b + 256))
+        else:
+            logp = _UNSEEN_BIGRAM
         total += n * logp
     return total / (len(text) - 2)
 

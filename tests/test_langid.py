@@ -202,19 +202,30 @@ class TestProfileFiles:
         b"T 1 2 3 x",
         b"B 1 2 \xff",       # not UTF-8
         b"B 4 5 6\x0cB 7 8 9\rT 1 2 3 1",  # a record ends at a line feed only
+        # Only the spelling save_profile writes: one ASCII space between
+        # fields, none around them, and plain ASCII decimals.
+        "B\u30001\xa02 3".encode(),
+        b"B 1 2 1_000",
+        "B 1 4 \u0663".encode(),
+        b"B 1 2 0300",
+        b"B 1 2 -0",
+        b"B 1  2 3",
+        b"B 1 2 3 ",
+        b"\tB 1 2 3",
+        pytest.param(b"  T  4 5 6   1 ", id="padded"),
+        b" ",
     ])
     def test_malformed_record_names_line(self, tmp_path, record):
         path = tmp_path / "bad.prof"
         path.write_bytes(b"#langenc en UTF-8 9\nB 1 2 3\n\n" + record + b"\nT 1 2 3 1\n")
         # A bad byte fails the file's read, before any record is parsed.
-        problem = "malformed record " if record.isascii() else "not UTF-8$"
+        problem = "not UTF-8$" if b"\xff" in record else "malformed record "
         with pytest.raises(langid.LoadError, match=r"bad\.prof:4: " + problem):
             langid.load_profile(path)
 
     @pytest.mark.parametrize("body,lineno,record", [
         ("B 1 2 3\nT 1 2 3 1\nT 1 2 3 7\n", 4, "T 1 2 3 7"),
         ("T 1 2 3 1\nB 1 2 3\n\nB 1 2 9\nB 1 2 3\n", 5, "B 1 2 9"),
-        ("B 1 2 3\nT 4 5 6 1\n  T  4 5 6   1 \n", 4, "  T  4 5 6   1 "),
     ])
     def test_duplicate_record_names_line(self, tmp_path, body, lineno, record):
         path = tmp_path / "dup.prof"
@@ -237,6 +248,17 @@ class TestProfileFiles:
         path = tmp_path / "bad.prof"
         path.write_text("#langenc en UTF-8 -5\nB 1 2 3\n")
         with pytest.raises(langid.LoadError, match=r"bad\.prof:1: negative total_bytes -5"):
+            langid.load_profile(path)
+
+    @pytest.mark.parametrize("header", [
+        "#langenc en UTF-8 +9", "#langenc en UTF-8 1_000", "#langenc en UTF-8 \u0663",
+        "#langenc en UTF-8 09", "#langenc en UTF-8 9 ", "#langenc  en UTF-8 9",
+        "#langenc\u3000en UTF-8 9", " #langenc en UTF-8 9",
+    ])
+    def test_malformed_header_names_line(self, tmp_path, header):
+        path = tmp_path / "bad.prof"
+        path.write_text(header + "\nB 1 2 3\n", encoding="utf-8")
+        with pytest.raises(langid.LoadError, match=r"bad\.prof:1: "):
             langid.load_profile(path)
 
     def test_non_utf8_header(self, tmp_path):
@@ -364,10 +386,24 @@ class TestScoreAgainstReference:
 
 
 # --------------------------------------------------------------------------
-# one trigram count per document, and one counting pass per corpus, against
-# the per-profile loop and two-pass trainer they replaced
+# one trigram count per document, one counting pass per corpus, and sorted
+# keys per table, against the per-profile loop, two-pass trainer and
+# (key, count) sort they replaced
 
 _ANY_BYTES = st.one_of(st.binary(min_size=3, max_size=2048), _TEXTS)
+_ANY_BYTE = st.one_of(_SYMBOL, st.integers(0, 255))
+_COUNT = st.integers(0, 2**41)
+
+
+@st.composite
+def _drawn_tables(draw):
+    """A profile whose tables, possibly empty, were filled in a drawn order."""
+    def table(key):
+        return dict(draw(st.lists(st.tuples(key, _COUNT), unique_by=lambda kv: kv[0])))
+    label = draw(st.sampled_from(corpusgen.labels()))
+    return langid.LangEncProfile(label, table(st.tuples(_ANY_BYTE, _ANY_BYTE)),
+                                 table(st.tuples(_ANY_BYTE, _ANY_BYTE, _ANY_BYTE)),
+                                 draw(_COUNT))
 
 
 class TestAgainstOracle:
@@ -385,6 +421,15 @@ class TestAgainstOracle:
         langid.save_profile(langid.train_profile(corpus, HU), tmp_path / "got.prof")
         langid.save_profile(langid_oracle.train_profile(corpus, HU), tmp_path / "want.prof")
         assert (tmp_path / "got.prof").read_bytes() == (tmp_path / "want.prof").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile=st.one_of(_drawn_tables(), _ANY_BYTES.map(lambda c: langid.train_profile(c, EN))))
+    def test_saved_profile_matches_reference_writer(self, tmp_path_factory, profile):
+        got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.prof", "want.prof"))
+        langid.save_profile(profile, got)
+        langid_oracle.save_profile(profile, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert langid.load_profile(got) == profile
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
