@@ -12,15 +12,16 @@ finds the month and relative-day anchors in one scan, in offset order.  Each
 full-text scan starts by consuming a character the regex engine can skip
 ahead to.  A month's left contexts (a day, a year, a pre-modifier) are each
 one match of a reversed pattern on the reversed text, back to no further
-than the end of the last candidate before the month, so a token that ends
+than the end of the last date before the month, so a token that ends
 one date cannot start the next.  Only a day read last on a month's right
 stays open to the next month, and the overlap then goes to the longer date.
 Overlaps are resolved in one walk in offset order, and only a run of
 overlapping matches goes through the longest-then-leftmost choice, so
 extraction is linear in document length.
 Matches carry offset, length and a typed normal form; relative expressions
-can be resolved against a reference date.  Candidates and matches are plain
-named tuples, and normal forms are tuples validated on construction.
+can be resolved against a reference date.  Numeric candidates and matches
+are named tuples, and normal forms are tuples validated on construction; a
+month-anchored or relative-day date becomes its match where it is read.
 """
 
 from __future__ import annotations
@@ -379,19 +380,6 @@ def _expand_year(field: str) -> int:
 # --------------------------------------------------------------------------
 # lexical dates
 
-class LexicalCandidate(NamedTuple):
-    """A lexical date; the fields after ``surface`` are its ``NormalizedDate``'s."""
-
-    offset: int
-    length: int
-    surface: str
-    kind: DateKind
-    year: int | None = None
-    month: int | None = None
-    day: int | None = None
-    rel_offset: int | None = None
-
-
 def _alt(surfaces):
     """The surfaces as a longest-first alternation; with none, one that never matches."""
     return "|".join(re.escape(s) for s in sorted(surfaces, key=len, reverse=True)) or "(?!)"
@@ -436,7 +424,8 @@ class _Scanner:
         self.re_anchor = _word_pattern([*lexicon.months, *lexicon.relative_days])
         self.re_year_right = re.compile(r"[\s,]+(?:(?:%s)[\s,]+)?(\d{4})(?!\w)" % conn)
         self.re_day_right = re.compile(r"[\s,]+(?:(?:%s)[\s,]+)?(%s)(?!\w)" % (conn, day_alt))
-        # For ``read_left``, each the reverse of a forward pattern, groups in reverse order:
+        # Read by ``.match(rev, len(text) - end, len(text) - _left_floor(text, floor))``,
+        # each the reverse of a forward pattern, groups in reverse order:
         #   day_left   (?<!\w)(?:(conn)[\s,]+)?(day)(?:[\s,]+conn)?[\s,]+\Z
         #   year_left  (?<!\w)(\d{4})[\s,]*(?:(conn)[\s,]+)?\Z
         #   premod     (?<!\w)(pre_modifier)[\s-]+\Z
@@ -451,22 +440,6 @@ class _Scanner:
         self.re_numseq = re.compile(
             r"[\s,]+(?:(?:%s)[\s,]+)?((?:%s)(?:[\s-]+(?:%s)){0,4})(?!\w)"
             % (conn, numword, numword))
-
-    def read_left(self, pattern, text, rev, floor, end):
-        r"""Reversed ``pattern`` on ``rev`` (``text`` reversed) from ``end`` back to ``floor``.
-
-        A match ``m`` reads ``text[len(text) - m.end():end]``, what the forward
-        pattern's ``.search(text, floor, end)`` finds.  At the ``endpos`` the
-        closing ``(?!\w)`` sees the end of the string, so a match that starts at
-        ``floor`` after a word character is read again from past that word.
-        """
-        n = len(text)
-        m = pattern.match(rev, n - end, n - floor)
-        if m is not None and m.end() == n - floor:
-            word = _RE_WORD_RUN.match(text, floor)
-            if word is not None:
-                m = pattern.match(rev, n - end, n - word.end() - 1)
-        return m
 
     def parse_day(self, surface: str):
         day_ordinals = self.lexicon.day_ordinals
@@ -517,21 +490,34 @@ def _group_tens(vals):
     return out
 
 
-def find_lexical_dates(text: str, lexicon: DateLexicon, numeric):
-    """Month-anchored and relative-day candidates (not yet validated), in offset order.
+def _left_floor(text, floor):
+    r"""``floor``, or one past the end of the word it cuts when a word character precedes it.
+
+    A forward left-context pattern starts with ``(?<!\w)``, so no match starts
+    inside that word or at its end.  Its reverse, matched on the reversed text
+    up to the floor, sees the end of the string there, so its closing
+    ``(?!\w)`` would let a match start at ``floor`` after a word character.
+    From the returned floor, it reads what the forward search from ``floor`` finds.
+    """
+    word = _RE_WORD_RUN.match(text, floor)
+    return floor if word is None else word.end() + 1
+
+
+def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=None):
+    """Month-anchored and relative-day dates as matches, in offset order.
 
     A month's left context reads back no further than the furthest end of the
-    candidates that start before it, ``numeric`` (``find_numeric_dates``)
-    included, so that a token that ends one date does not start the next.  A
-    day read last on a month's right is the one exception: it can be the next
-    month's day, and the overlap goes to the longer date, so "In May, 12 June
-    2003" gives ``12 June 2003``.
+    dates that start before it, ``numeric`` (``find_numeric_dates``) included,
+    so that a token that ends one date does not start the next.  A day read
+    last on a month's right is the one exception: it can be the next month's
+    day, and the overlap goes to the longer date, so "In May, 12 June 2003"
+    gives ``12 June 2003``.  A date that names no calendar day ("February 30")
+    goes onto ``diagnostics`` as (offset, surface, reason), but claims its tokens.
     """
     sc = lexicon._scanner
-    read_left = sc.read_left
     n = len(text)
     rev = text[::-1]
-    candidates = []
+    matches = []
     reach = 0               # the furthest claimed end of the candidates before the anchor
     numeric = iter(numeric)
     nxt = next(numeric, None)
@@ -543,21 +529,21 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric):
         surface = m.group()
         month = lexicon.months.get(surface)
         if month is None:
-            candidates.append(LexicalCandidate(start, end - start, surface, DateKind.RELATIVE_DAY,
-                                               rel_offset=lexicon.relative_days[surface]))
+            matches.append(DateMatch(start, end - start, surface, NormalizedDate(
+                DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[surface])))
             reach = max(reach, end)
             continue
-        floor = min(reach, anchor)
+        stop = n - _left_floor(text, min(reach, anchor))    # the floor in ``rev``
         day = year = rel_offset = None
         spelled_thousand = False
 
-        lm = read_left(sc.rev_day_left, text, rev, floor, anchor)
+        lm = sc.rev_day_left.match(rev, n - anchor, stop)
         if lm is not None:
             day = sc.parse_day(lm.group(1)[::-1])
         if day is None:
-            ym = read_left(sc.rev_year_left, text, rev, floor, anchor)
+            ym = sc.rev_year_left.match(rev, n - anchor, stop)
         else:
-            ym = read_left(sc.rev_year_left, text, rev, floor, n - lm.end())
+            ym = sc.rev_year_left.match(rev, lm.end(), stop)
             if ym is None:
                 # A leading connector only belongs to the span when a year
                 # precedes it ("1999, the 2nd of May").
@@ -610,52 +596,49 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric):
         elif year is not None:
             kind = DateKind.YEAR_MONTH
         else:
-            pm = read_left(sc.rev_premod, text, rev, floor, anchor)
+            pm = sc.rev_premod.match(rev, n - anchor, stop)
             if pm is None:
                 continue
             start, kind = n - pm.end(), DateKind.RELATIVE_MONTH
             rel_offset = lexicon.pre_modifiers[pm.group(1)[::-1]]
-        candidates.append(LexicalCandidate(start, end - start, text[start:end], kind,
-                                           year, month, day, rel_offset))
         reach = max(reach, claimed)
-    return candidates
+        try:
+            normal = NormalizedDate(kind, year, month, day, rel_offset)
+        except ValueError as exc:
+            if diagnostics is not None:
+                diagnostics.append((start, text[start:end], str(exc)))
+            continue
+        matches.append(DateMatch(start, end - start, text[start:end], normal))
+    return matches
 
 
 # --------------------------------------------------------------------------
 # normalization and resolution
 
-def _numeric_reading(c, document_order, reject_two_digit_years):
-    """The (kind, year, month, day, rel_offset) fields of a numeric candidate.
-
-    Raises ValueError, naming the reason, when the candidate has no reading.
-    """
-    if c.ymd:
-        return DateKind.FULL, int(c.f1), int(c.f2), int(c.f3), None
-    if reject_two_digit_years and len(c.f3) == 2 and len(c.f1) == 1 and len(c.f2) == 1:
-        raise ValueError("two-digit year with unpadded day and month")
-    if not (c.dmy_possible or c.mdy_possible):
-        raise ValueError("no valid day/month reading")
-    day, month = int(c.f1), int(c.f2)
-    if c.mdy_possible and (not c.dmy_possible or document_order == ORDER_MDY):
-        day, month = month, day
-    return DateKind.FULL, _expand_year(c.f3), month, day, None
-
-
 def normalize_match(candidate, document_order: str, reject_two_digit_years: bool = False,
                     diagnostics=None):
-    """Turn a finder candidate into a DateMatch; None when discarded.
+    """Turn a numeric candidate into a DateMatch; None when discarded.
 
     Discards land on the diagnostics list as (offset, surface, reason).
     """
+    c = candidate
     try:
-        normal = NormalizedDate(*(
-            _numeric_reading(candidate, document_order, reject_two_digit_years)
-            if isinstance(candidate, NumericCandidate) else candidate[3:]))
+        if c.ymd:
+            normal = NormalizedDate(DateKind.FULL, int(c.f1), int(c.f2), int(c.f3))
+        else:
+            if reject_two_digit_years and len(c.f3) == 2 and len(c.f1) == 1 and len(c.f2) == 1:
+                raise ValueError("two-digit year with unpadded day and month")
+            if not (c.dmy_possible or c.mdy_possible):
+                raise ValueError("no valid day/month reading")
+            day, month = int(c.f1), int(c.f2)
+            if c.mdy_possible and (not c.dmy_possible or document_order == ORDER_MDY):
+                day, month = month, day
+            normal = NormalizedDate(DateKind.FULL, _expand_year(c.f3), month, day)
     except ValueError as exc:
         if diagnostics is not None:
-            diagnostics.append((candidate.offset, candidate.surface, str(exc)))
+            diagnostics.append((c.offset, c.surface, str(exc)))
         return None
-    return DateMatch(candidate.offset, candidate.length, candidate.surface, normal)
+    return DateMatch(c.offset, c.length, c.surface, normal)
 
 
 def _out_of_range(normal, reference):
@@ -749,11 +732,11 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     if default not in (ORDER_DMY, ORDER_MDY):
         raise ConfigError("default order must be dmy or mdy, got %r" % default_order)
     order = infer_document_order(numeric, default)
-    # Overlaps keep the longest match, then the leftmost, within each run of
-    # overlapping matches.
-    kept = _drop_overlaps([
-        m for cand in numeric + find_lexical_dates(text, lexicon, numeric)
-        if (m := normalize_match(cand, order, reject_two_digit_years, diagnostics)) is not None])
+    # Numeric discards reach ``diagnostics`` before lexical ones.  Overlaps keep
+    # the longest match, then the leftmost, within each run of overlapping matches.
+    matches = [m for c in numeric if (m := normalize_match(
+        c, order, reject_two_digit_years, diagnostics)) is not None]
+    kept = _drop_overlaps(matches + find_lexical_dates(text, lexicon, numeric, diagnostics))
 
     if reference is not None:
         for i, m in enumerate(kept):

@@ -152,7 +152,13 @@ class GazetteerIndex:
 
     def match_at(self, tokens, position):
         """Longest name/variant whose tokens start at ``position``, or None."""
-        return _match_token_index(self._first, tokens, position)
+        if position < 0 or position >= len(tokens):
+            raise IndexError("position %d outside token sequence" % position)
+        texts = tokens.texts
+        for key, ids, trigger in self._first.get(texts[position], ()):  # longest first
+            if texts[position:position + len(key)] == key:
+                return SpanMatch(span=len(key), payload=ids or (trigger,))
+        return None
 
     def single_token_surfaces(self):
         """All distinct single-token surface forms in the index."""
@@ -170,8 +176,7 @@ class TriggerIndex:
             lambda surface, i: _located(where, i, "unindexable trigger surface %r" % (surface,)),
             lambda key, positions: (key, (), triggers[positions[0]]))
 
-    def match_at(self, tokens, position):
-        return _match_token_index(self._first, tokens, position)
+    match_at = GazetteerIndex.match_at      # one body, an attribute of each class
 
 
 def _located(where, i, message):
@@ -195,16 +200,6 @@ def _first_token_index(named, unindexable, entry):
     for key in sorted(by_key, key=lambda k: (-len(k), k)):
         first.setdefault(key[0], []).append(entry(list(key), by_key[key]))
     return first
-
-
-def _match_token_index(first_index, tokens, position):
-    if position < 0 or position >= len(tokens):
-        raise IndexError("position %d outside token sequence" % position)
-    texts = tokens.texts
-    for key, ids, trigger in first_index.get(texts[position], ()):  # sorted longest first
-        if texts[position:position + len(key)] == key:
-            return SpanMatch(span=len(key), payload=ids or (trigger,))
-    return None
 
 
 def _starts_upper(token_text: str) -> bool:

@@ -6,24 +6,37 @@ Here each kind's required fields and its normal form are spelled out in two
 builds its candidate separately for each kind and reads each left context
 with a forward search over the text between the floor and the month, and
 ``normalize_match`` has one path for numeric candidates and one for lexical
-ones.  The numeric, month and relative-day patterns start with their
-lookbehind, with no first-character filter, and months and relative days are
-two scans.  Each anchor's floor is recomputed from every candidate so far,
-except that a day read last on a month's right may be the next month's day,
-and overlaps are resolved by a pairwise scan.
+ones, which it validates after the scan.  The numeric, month and relative-day
+patterns start with their lookbehind, with no first-character filter, and
+months and relative days are two scans.  Each anchor's floor is recomputed
+from every candidate so far, except that a day read last on a month's right
+may be the next month's day, and overlaps are resolved by a pairwise scan.
 """
 
 import calendar
 import datetime
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from placetime.dates import (_MONTH_DAYS, ORDER_MDY, DateKind, LexicalCandidate,
-                             NumericCandidate, _alt, _day_ok, _expand_year,
-                             infer_document_order)
+from placetime.dates import (_MONTH_DAYS, ORDER_MDY, DateKind, NumericCandidate, _alt,
+                             _day_ok, _expand_year, infer_document_order)
 
 RE_NUM_YMD = re.compile(r"(?<!\d)(\d{4})([./-])(\d{1,2})\2(\d{1,2})(?!\d)")
 RE_NUM_GEN = re.compile(r"(?<!\d)(\d{1,2})([./-])(\d{1,2})\2(\d{4}|\d{2})(?!\d)")
+
+
+class LexicalCandidate(NamedTuple):
+    """A lexical date before validation: its span and its normal form's fields."""
+
+    offset: int
+    length: int
+    surface: str
+    kind: DateKind
+    year: int | None = None
+    month: int | None = None
+    day: int | None = None
+    rel_offset: int | None = None
 
 
 def month_pattern(lexicon):
