@@ -19,6 +19,7 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import annotate, dates, gazetteer, geotag, langid, mapviz
 from .errors import (ConfigError, LoadError, PlacetimeError, TrainingError, check_country,
@@ -27,60 +28,19 @@ from .errors import (ConfigError, LoadError, PlacetimeError, TrainingError, chec
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def _add_common_io(parser):
-    parser.add_argument("paths", nargs="+", metavar="PATH")
-    parser.add_argument("--lang", help="language code; skips identification")
-    parser.add_argument("--encoding", help="input encoding (registry name)")
-    parser.add_argument("--profiles", help="profile directory for identification")
-    parser.add_argument("--format", choices=("standoff", "inline"), default="standoff")
-    parser.add_argument("--out", help="output file (default: stdout)")
+def build_parser(command=None):
+    """The ``placetime`` parser: every subcommand, with arguments for ``command``'s only.
 
-
-def build_parser():
+    Each subcommand is registered with its name and help, which is all that the
+    top-level usage, ``--help`` and invalid-choice error print.  With ``None``,
+    every subcommand gets its arguments.
+    """
     parser = argparse.ArgumentParser(prog="placetime", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identify", help="rank language/encoding per file")
-    p.add_argument("paths", nargs="+", metavar="PATH")
-    p.add_argument("--profiles", required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("train-profile", help="train a language/encoding profile")
-    p.add_argument("corpus", nargs="+", metavar="CORPUS")
-    p.add_argument("--lang", required=True)
-    p.add_argument("--encoding", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("dates", help="extract and normalize date expressions")
-    _add_common_io(p)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--reference", metavar="YYYY-MM-DD")
-    p.add_argument("--default-order", choices=(dates.ORDER_DMY, dates.ORDER_MDY))
-    p.add_argument("--reject-two-digit-years", action="store_true")
-    p.add_argument("--diagnostics", action="store_true",
-                   help="report discarded candidates on stderr")
-
-    p = sub.add_parser("places", help="extract, disambiguate and tally place names")
-    _add_common_io(p)
-    p.add_argument("--gazetteer", required=True)
-    p.add_argument("--stopwords")
-    p.add_argument("--triggers")
-    p.add_argument("--max-size-class-outside", metavar="N:CC,CC,...",
-                   help="outside the listed countries keep only size class <= N")
-
-    p = sub.add_parser("map", help="render SVG map from places annotations")
-    p.add_argument("annotations", nargs="+", metavar="ANNOTATION")
-    p.add_argument("--outline", default=str(DATA_DIR / "outline" / "world_outline.tsv"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=1000)
-    p.add_argument("--height", type=int, default=500)
-
-    p = sub.add_parser("propose-stopwords", help="propose geo stop words for review")
-    p.add_argument("--gazetteer", required=True)
-    p.add_argument("--frequency-list", required=True,
-                   help="ranked word list, one word per line, most frequent first")
-    p.add_argument("--top-n", type=int, default=1000)
-    p.add_argument("--out")
+    for name, entry in _COMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        if command is None or command == name:
+            entry.add_arguments(p)
     return parser
 
 
@@ -96,6 +56,16 @@ def _open_out(args):
         return open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         raise _cannot_write(args.out, exc) from exc
+
+
+def _document_arguments(p):
+    """The input and output arguments of ``dates`` and ``places``."""
+    p.add_argument("paths", nargs="+", metavar="PATH")
+    p.add_argument("--lang", help="language code; skips identification")
+    p.add_argument("--encoding", help="input encoding (registry name)")
+    p.add_argument("--profiles", help="profile directory for identification")
+    p.add_argument("--format", choices=("standoff", "inline"), default="standoff")
+    p.add_argument("--out", help="output file (default: stdout)")
 
 
 def _decoder(args):
@@ -149,6 +119,12 @@ _encode_str = json.encoder.encode_basestring
 # --------------------------------------------------------------------------
 # subcommands
 
+def _identify_arguments(p):
+    p.add_argument("paths", nargs="+", metavar="PATH")
+    p.add_argument("--profiles", required=True)
+    p.add_argument("--out")
+
+
 def cmd_identify(args):
     profiles = langid.load_profile_dir(args.profiles)
 
@@ -157,6 +133,13 @@ def cmd_identify(args):
         return "%s\t%s\t%s\t%.4f\n" % (path, best.label.language, best.label.encoding,
                                        best.score)
     return _run_documents(args, analyse)
+
+
+def _train_profile_arguments(p):
+    p.add_argument("corpus", nargs="+", metavar="CORPUS")
+    p.add_argument("--lang", required=True)
+    p.add_argument("--encoding", required=True)
+    p.add_argument("--out", required=True)
 
 
 def cmd_train_profile(args):
@@ -199,6 +182,16 @@ _RE_REFERENCE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 def _date_span(m):
     kind = m.normal.kind
     return m.offset, m.length, "date:" + kind.label, kind.form % kind.values_of(m.normal)
+
+
+def _dates_arguments(p):
+    _document_arguments(p)
+    p.add_argument("--lexicon", required=True)
+    p.add_argument("--reference", metavar="YYYY-MM-DD")
+    p.add_argument("--default-order", choices=(dates.ORDER_DMY, dates.ORDER_MDY))
+    p.add_argument("--reject-two-digit-years", action="store_true")
+    p.add_argument("--diagnostics", action="store_true",
+                   help="report discarded candidates on stderr")
 
 
 def cmd_dates(args):
@@ -293,6 +286,15 @@ def _parse_size_filter(spec):
         raise ConfigError("bad --max-size-class-outside %r" % spec) from exc
 
 
+def _places_arguments(p):
+    _document_arguments(p)
+    p.add_argument("--gazetteer", required=True)
+    p.add_argument("--stopwords")
+    p.add_argument("--triggers")
+    p.add_argument("--max-size-class-outside", metavar="N:CC,CC,...",
+                   help="outside the listed countries keep only size class <= N")
+
+
 def cmd_places(args):
     decode = _decoder(args)
     spec = args.max_size_class_outside
@@ -316,6 +318,14 @@ def cmd_places(args):
         return "".join(out)
 
     return _run_documents(args, analyse)
+
+
+def _map_arguments(p):
+    p.add_argument("annotations", nargs="+", metavar="ANNOTATION")
+    p.add_argument("--outline", default=str(DATA_DIR / "outline" / "world_outline.tsv"))
+    p.add_argument("--out", required=True)
+    p.add_argument("--width", type=int, default=1000)
+    p.add_argument("--height", type=int, default=500)
 
 
 # One decoder for every annotation line, kept as _encode_json is.
@@ -405,6 +415,14 @@ def cmd_map(args):
     return 0
 
 
+def _propose_stopwords_arguments(p):
+    p.add_argument("--gazetteer", required=True)
+    p.add_argument("--frequency-list", required=True,
+                   help="ranked word list, one word per line, most frequent first")
+    p.add_argument("--top-n", type=int, default=1000)
+    p.add_argument("--out")
+
+
 def cmd_propose_stopwords(args):
     if args.top_n < 1:
         raise ConfigError("--top-n must be at least 1")
@@ -416,21 +434,37 @@ def cmd_propose_stopwords(args):
     return 0
 
 
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# Every subcommand, in the order that usage and --help list them.
 _COMMANDS = {
-    "identify": cmd_identify,
-    "train-profile": cmd_train_profile,
-    "dates": cmd_dates,
-    "places": cmd_places,
-    "map": cmd_map,
-    "propose-stopwords": cmd_propose_stopwords,
+    "identify": _Command("rank language/encoding per file", _identify_arguments,
+                         cmd_identify),
+    "train-profile": _Command("train a language/encoding profile", _train_profile_arguments,
+                              cmd_train_profile),
+    "dates": _Command("extract and normalize date expressions", _dates_arguments, cmd_dates),
+    "places": _Command("extract, disambiguate and tally place names", _places_arguments,
+                       cmd_places),
+    "map": _Command("render SVG map from places annotations", _map_arguments, cmd_map),
+    "propose-stopwords": _Command("propose geo stop words for review",
+                                  _propose_stopwords_arguments, cmd_propose_stopwords),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse hands the rest of argv to the subparser named by the first word
+    # that is not an option, and fails if that word names none.  No top-level
+    # option takes a value and no subcommand name starts with "-", so the
+    # subparser that runs, if any, is named by the first word that names one.
+    command = next((word for word in argv if word in _COMMANDS), "")
+    args = build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (ConfigError, LoadError, TrainingError) as exc:
         print("placetime: %s" % exc, file=sys.stderr)
         return 2

@@ -2,13 +2,13 @@
 tests compare it against: ``json.loads`` per line and one one-mention dot per
 ``geo`` record of a place, summed by ``render_svg``.
 
-It takes the arguments of ``cmd_map`` and can stand in for it in
-``cli._COMMANDS``.  It lets booleans through, which ``cmd_map`` rejects, and
-also an integral float id (``1.0``) in a record that equals an earlier one with
-the integer id, since ``dots.get(1.0)`` finds place 1; a line nested deeper than
-the recursion limit ends in a ``RecursionError``.  An unhashable id (``[1]``,
-``{}``) is named as a bad ``place_id``, as ``cmd_map`` names it, not by the
-``TypeError`` of its lookup.
+It takes the arguments of ``cmd_map`` and can stand in for it as the ``run``
+of ``cli._COMMANDS["map"]``.  It lets booleans through, which ``cmd_map``
+rejects, and also an integral float id (``1.0``) in a record that equals an
+earlier one with the integer id, since ``dots.get(1.0)`` finds place 1; a line
+nested deeper than the recursion limit ends in a ``RecursionError``.  An
+unhashable id (``[1]``, ``{}``) is named as a bad ``place_id``, as ``cmd_map``
+names it, not by the ``TypeError`` of its lookup.
 """
 
 import json

@@ -4,6 +4,7 @@ The ``--help`` texts are pinned as Python 3.11 formats them at 80 columns; a
 new option or subcommand changes them on purpose.
 """
 
+import argparse
 import importlib
 import os
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import placetime
-from placetime.cli import DATA_DIR, main
+from placetime.cli import DATA_DIR, build_parser, main
 
 LEX_EN = str(DATA_DIR / "lexicons" / "en.lex")
 
@@ -164,12 +165,66 @@ usage: placetime [-h]
                  ...
 """
 
+
+def _usage(command):
+    """A subcommand's usage, as its ``--help`` text above begins."""
+    return HELP[command].split("\n\n")[0] + "\n"
+
+
 USAGE_ERRORS = {
     "no command": ([], _USAGE + "placetime: error: the following arguments are required: "
                    "command\n"),
     "unknown command": (["frob"], _USAGE + "placetime: error: argument command: invalid "
                         "choice: 'frob' (choose from 'identify', 'train-profile', 'dates', "
                         "'places', 'map', 'propose-stopwords')\n"),
+    # The subcommand is the first word that names one, not the first word.
+    "unknown option before command": (["--frob", "dates"], _usage("dates")
+                                      + "placetime dates: error: the following arguments "
+                                      "are required: PATH, --lexicon\n"),
+    "map: bad --width": (["map", "a.jsonl", "--out", "m.svg", "--width", "x"], _usage("map")
+                         + "placetime map: error: argument --width: invalid int value: "
+                         "'x'\n"),
+    "dates: bad --format": (["dates", "d.txt", "--lexicon", LEX_EN, "--format", "xml"],
+                            _usage("dates") + "placetime dates: error: argument --format: "
+                            "invalid choice: 'xml' (choose from 'standoff', 'inline')\n"),
+}
+REQUIRED = {
+    "identify": "PATH, --profiles",
+    "train-profile": "CORPUS, --lang, --encoding, --out",
+    "dates": "PATH, --lexicon",
+    "places": "PATH, --gazetteer",
+    "map": "ANNOTATION, --out",
+    "propose-stopwords": "--gazetteer, --frequency-list",
+}
+for _command, _required in REQUIRED.items():
+    USAGE_ERRORS[_command + ": no arguments"] = (
+        [_command], "%splacetime %s: error: the following arguments are required: %s\n"
+        % (_usage(_command), _command, _required))
+
+# Two valid argvs per subcommand: its required arguments only (so every other
+# option takes its default), and every option given.
+VALID_ARGV = {
+    "identify": (["identify", "a.txt", "--profiles", "p"],
+                 ["identify", "a.txt", "b.txt", "--profiles", "p", "--out", "o.tsv"]),
+    "train-profile": (["train-profile", "c.txt", "--lang", "en", "--encoding", "UTF-8",
+                       "--out", "en.prof"],
+                      ["train-profile", "c.txt", "d.txt", "--lang", "en", "--encoding",
+                       "UTF-8", "--out", "en.prof"]),
+    "dates": (["dates", "d.txt", "--lexicon", LEX_EN],
+              ["dates", "d.txt", "--lexicon", LEX_EN, "--reference", "2003-03-01",
+               "--default-order", "mdy", "--reject-two-digit-years", "--diagnostics",
+               "--format", "inline", "--lang", "en"]),
+    "places": (["places", "d.txt", "--gazetteer", "g.tsv"],
+               ["places", "d.txt", "e.txt", "--gazetteer", "g.tsv", "--stopwords", "s.txt",
+                "--triggers", "t.tsv", "--max-size-class-outside", "2:FR,DE", "--encoding",
+                "ISO-8859-2", "--profiles", "p", "--out", "o.jsonl"]),
+    "map": (["map", "a.jsonl", "--out", "m.svg"],
+            ["map", "a.jsonl", "--outline", "w.tsv", "--out", "m.svg", "--width", "800",
+             "--height", "400"]),
+    "propose-stopwords": (["propose-stopwords", "--gazetteer", "g.tsv", "--frequency-list",
+                           "f.txt"],
+                          ["propose-stopwords", "--gazetteer", "g.tsv", "--frequency-list",
+                           "f.txt", "--top-n", "5", "--out", "s.txt"]),
 }
 
 
@@ -204,6 +259,35 @@ def test_usage_error(capsys, columns_80, case):
         main(argv)
     assert excinfo.value.code == 2
     assert capsys.readouterr() == ("", err)
+
+
+def _add_argument_calls(monkeypatch, command):
+    """How many ``add_argument`` calls ``build_parser(command)`` makes, and its parser."""
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    parser = build_parser(command)
+    monkeypatch.undo()
+    return len(calls), parser
+
+
+@pytest.mark.parametrize("command", VALID_ARGV)
+def test_build_parser_adds_only_the_named_arguments(capsys, monkeypatch, command):
+    full_calls, full = _add_argument_calls(monkeypatch, None)
+    calls, parser = _add_argument_calls(monkeypatch, command)
+    assert calls < full_calls
+    for argv in VALID_ARGV[command]:
+        assert parser.parse_args(argv) == full.parse_args(argv)
+    for other, argvs in VALID_ARGV.items():
+        if other != command:
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argvs[0])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reference, code", [("2003-03-01", 0), ("2003-02-30", 2)])

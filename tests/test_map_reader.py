@@ -107,7 +107,7 @@ def _file(draw, faults):
 def _map(reader, paths, out):
     """(exit code, stdout, stderr, SVG bytes or None) of ``map`` run with ``reader``."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with mock.patch.dict(cli._COMMANDS, {"map": reader}), \
+    with mock.patch.dict(cli._COMMANDS, {"map": cli._COMMANDS["map"]._replace(run=reader)}), \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(["map", *paths, "--out", str(out)])
     return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
