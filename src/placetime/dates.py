@@ -11,13 +11,8 @@ infers whether the document writes day-month-year or month-day-year, then
 finds the month and relative-day anchors in one scan, in offset order.  Each
 full-text scan starts by consuming a character the regex engine can skip
 ahead to.  A month's left contexts (a day, a year, a pre-modifier) are each
-one match of a reversed pattern on the reversed text, back to no further
-than the end of the last date before the month, so a token that ends
-one date cannot start the next.  Only a day read last on a month's right
-stays open to the next month, and the overlap then goes to the longer date.
-Overlaps are resolved in one walk in offset order, and only a run of
-overlapping matches goes through the longest-then-leftmost choice, so
-extraction is linear in document length.
+one match of a reversed pattern on the reversed text.  No two dates share a
+token (``find_lexical_dates``), and extraction is linear in document length.
 Matches carry offset, length and a typed normal form; relative expressions
 can be resolved against a reference date.  Numeric candidates and matches
 are named tuples, and normal forms are tuples validated on construction; a
@@ -26,11 +21,11 @@ month-anchored or relative-day date becomes its match where it is read.
 
 from __future__ import annotations
 
-import bisect
 import calendar
 import datetime
 import functools
 import operator
+from itertools import chain, pairwise
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -404,6 +399,7 @@ def _word_pattern(surfaces):
 
 
 _RE_WORD_SEP = re.compile(r"[\s-]+")     # between spelled number words
+_RE_NUMBER_WORD = re.compile(r"[^\s-]+")
 _RE_WORD = re.compile(r"\w+")
 _RE_WORD_START = re.compile(r"(?<!\w)")
 _RE_WORD_END = re.compile(r"(?!\w)")
@@ -442,33 +438,44 @@ class _Scanner:
             % (conn, numword, numword))
 
     def parse_day(self, surface: str):
-        day_ordinals = self.lexicon.day_ordinals
-        if surface in day_ordinals:
-            return day_ordinals[surface]
-        if surface.isdigit():
-            value = int(surface)
-            if 1 <= value <= 31:
-                return value
+        """The day of a day ordinal or of one or two digits; None outside 1..31."""
+        value = self.lexicon.day_ordinals.get(surface) or int(surface)
+        return value if 1 <= value <= 31 else None
+
+    def read_spelled_year(self, text, pos, limit):
+        """(year, thousand form, end) of the longest number-word run after ``pos``
+        that ends by ``limit``, composes a year and ends in no join word, or None."""
+        rm = self.re_numseq.match(text, pos)
+        if rm is None:
+            return None
+        words = list(_RE_NUMBER_WORD.finditer(text, rm.start(1), rm.end(1)))
+        for k in range(len(words), 0, -1):
+            last = words[k - 1]
+            if last.end() <= limit and self.lexicon.number_words[last.group()]:
+                year, thousand = self.compose_spelled_year([w.group() for w in words[:k]])
+                if year is not None:
+                    return year, thousand, last.end()
         return None
 
-    def compose_spelled_year(self, words):
-        """Compose number words into a year value; None if not a year.
+    def reads_left_day(self, rev, m, start):
+        """Whether anchor ``m`` is a month whose left-day read puts its day at ``start``."""
+        if m is None or m.group() not in self.lexicon.months:
+            return False
+        n = len(rev)
+        lm = self.rev_day_left.match(rev, n - m.start(), n - start)
+        return lm is not None and lm.end(1) == n - start
 
-        Pairs grammar: (19)(84) -> 1984, with tens+units grouping.  The
-        thousand form (two thousand and two) is flagged so callers can
-        restrict it to day-bearing dates.
-        """
+    def compose_spelled_year(self, words):
+        """(year, thousand form) of number words, or (None, False): two groups
+        of tens and units ((19)(84) -> 1984), or the thousand form (two
+        thousand and two), which only a date with a day may take."""
         vals = [self.lexicon.number_words[w] for w in words]
         vals = [v for v in vals if v != 0]  # join words like "and"
-        if not vals:
-            return None, False
         if 1000 in vals:
             i = vals.index(1000)
-            head, tail = vals[:i], vals[i + 1:]
-            if len(head) == 1 and 1 <= head[0] <= 9 and len(tail) <= 2:
-                rest = _group_tens(tail)
-                if len(rest) <= 1 and (not rest or 0 <= rest[0] <= 99):
-                    return head[0] * 1000 + (rest[0] if rest else 0), True
+            rest = _group_tens(vals[i + 1:]) or [0]
+            if i == 1 and 1 <= vals[0] <= 9 and len(rest) == 1 and 0 <= rest[0] <= 99:
+                return vals[0] * 1000 + rest[0], True
             return None, False
         groups = _group_tens(vals)
         if len(groups) == 2 and 10 <= groups[0] <= 29 and 0 <= groups[1] <= 99:
@@ -477,16 +484,13 @@ class _Scanner:
 
 
 def _group_tens(vals):
+    """The values, each tens value joined to a unit after it (20 5 -> 25)."""
     out = []
-    i = 0
-    while i < len(vals):
-        v = vals[i]
-        if v % 10 == 0 and 20 <= v <= 90 and i + 1 < len(vals) and 1 <= vals[i + 1] <= 9:
-            out.append(v + vals[i + 1])
-            i += 2
+    for v in vals:
+        if out and 1 <= v <= 9 and out[-1] % 10 == 0 and 20 <= out[-1] <= 90:
+            out[-1] += v
         else:
             out.append(v)
-            i += 1
     return out
 
 
@@ -506,34 +510,45 @@ def _left_floor(text, floor):
 def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=None):
     """Month-anchored and relative-day dates as matches, in offset order.
 
-    A month's left context reads back no further than the furthest end of the
-    dates that start before it, ``numeric`` (``find_numeric_dates``) included,
-    so that a token that ends one date does not start the next.  A day read
-    last on a month's right is the one exception: it can be the next month's
-    day, and the overlap goes to the longer date, so "In May, 12 June 2003"
-    gives ``12 June 2003``.  A date that names no calendar day ("February 30")
-    goes onto ``diagnostics`` as (offset, surface, reason), but claims its tokens.
+    None shares a token with another or with a ``numeric`` candidate
+    (``find_numeric_dates``), by three rules:
+
+    1. An anchor that starts before ``reach``, the furthest end of the dates
+       before it, or that a numeric candidate starts inside, is not read.  A
+       month's left contexts read back no further than ``reach``.
+    2. No right-context token (year, spelled year, day, relative year) ends
+       past the start of the next numeric candidate.
+    3. A day read on a month's right goes to the next anchor when that is a
+       month whose left-day read puts its day there ("In May, 12 June 2003"
+       gives ``12 June 2003``).  Every other token stays with the date before.
+
+    A date that names no calendar day ("February 30") goes onto ``diagnostics``
+    as (offset, surface, reason), but keeps its tokens.
     """
     sc = lexicon._scanner
     n = len(text)
     rev = text[::-1]
     matches = []
-    reach = 0               # the furthest claimed end of the candidates before the anchor
+    reach = 0
     numeric = iter(numeric)
-    nxt = next(numeric, None)
-    for m in sc.re_anchor.finditer(text):
-        anchor, month_end = start, end = m.span()
-        while nxt is not None and nxt.offset < anchor:
+    nxt = next(numeric, None)       # the first numeric candidate not before the anchor's end
+    for m, following in pairwise(chain(sc.re_anchor.finditer(text), [None])):
+        anchor, end = m.span()
+        while nxt is not None and nxt.offset < end:
             reach = max(reach, nxt.offset + nxt.length)
             nxt = next(numeric, None)
+        if anchor < reach:
+            continue
         surface = m.group()
         month = lexicon.months.get(surface)
         if month is None:
-            matches.append(DateMatch(start, end - start, surface, NormalizedDate(
+            matches.append(DateMatch(anchor, end - anchor, surface, NormalizedDate(
                 DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[surface])))
-            reach = max(reach, end)
+            reach = end
             continue
-        stop = n - _left_floor(text, min(reach, anchor))    # the floor in ``rev``
+        start, month_end = anchor, end
+        limit = n if nxt is None else nxt.offset
+        stop = n - _left_floor(text, reach)     # the floor in ``rev``
         day = year = rel_offset = None
         spelled_thousand = False
 
@@ -554,28 +569,25 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=Non
 
         if day is None and year is None:
             rm = sc.re_relyear.match(text, end)
-            if rm is not None:
+            if rm is not None and rm.end(1) <= limit:
                 rel_offset = lexicon.relative_years[rm.group(1)]
                 end = rm.end(1)
-        claimed = end           # the end of the date but a day read last on the right
         if rel_offset is None:
             for _ in range(2):
                 if year is None:
                     rm = sc.re_year_right.match(text, end)
-                    if rm is not None:
+                    if rm is not None and rm.end(1) <= limit:
                         year = int(rm.group(1))
-                        end = claimed = rm.end(1)
+                        end = rm.end(1)
                         continue
-                    rm = sc.re_numseq.match(text, end)
-                    if rm is not None:
-                        words = _RE_WORD_SEP.split(rm.group(1))
-                        year, spelled_thousand = sc.compose_spelled_year(words)
-                        if year is not None:
-                            end = claimed = rm.end(1)
-                            continue
+                    spelled = sc.read_spelled_year(text, end, limit)
+                    if spelled is not None:
+                        year, spelled_thousand, end = spelled
+                        continue
                 if day is None:
                     rm = sc.re_day_right.match(text, end)
-                    if rm is not None:
+                    if (rm is not None and rm.end(1) <= limit
+                            and not sc.reads_left_day(rev, following, rm.start(1))):
                         day = sc.parse_day(rm.group(1))
                         if day is not None:
                             end = rm.end(1)
@@ -585,7 +597,7 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=Non
         # The thousand form of a spelled year only counts inside a full date.
         if spelled_thousand and day is None:
             year = None
-            end = claimed = month_end
+            end = month_end
 
         # A relative year is only looked for when neither a day nor a year was
         # found, so each kind below leaves the fields it does not carry None.
@@ -601,7 +613,7 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=Non
                 continue
             start, kind = n - pm.end(), DateKind.RELATIVE_MONTH
             rel_offset = lexicon.pre_modifiers[pm.group(1)[::-1]]
-        reach = max(reach, claimed)
+        reach = end
         try:
             normal = NormalizedDate(kind, year, month, day, rel_offset)
         except ValueError as exc:
@@ -677,52 +689,6 @@ def resolve_relative(normal: NormalizedDate, reference: datetime.date) -> Normal
 _offset = operator.attrgetter("offset")
 
 
-def _resolve_overlaps(run):
-    """The matches of a run that the longest-then-leftmost choice keeps, sorted by offset.
-
-    Kept matches stay sorted by offset and disjoint, so their ends are sorted
-    too and only the last kept match starting before a candidate's end can
-    overlap it.
-    """
-    run.sort(key=lambda m: (-m.length, m.offset))
-    kept = []
-    for m in run:
-        i = bisect.bisect_left(kept, m.offset + m.length, key=_offset)
-        if i and kept[i - 1].offset + kept[i - 1].length > m.offset:
-            continue
-        kept.insert(i, m)
-    return kept
-
-
-def _drop_overlaps(matches):
-    """The matches that overlapping ones do not outrank, sorted by offset.
-
-    In offset order, a match that starts at or after the furthest end seen so
-    far opens a new run; the runs are the connected parts of the overlap
-    relation, so resolving each on its own keeps what resolving all at once
-    would.  A run of one is kept as it is.
-    """
-    kept = []
-    run = None              # the current run, once a second match joins it
-    reach = 0               # the furthest end of the current run
-    for m in sorted(matches, key=_offset):
-        start = m.offset
-        if start < reach:
-            if run is None:
-                run = [kept.pop()]
-            run.append(m)
-            reach = max(reach, start + m.length)
-            continue
-        if run is not None:
-            kept += _resolve_overlaps(run)
-            run = None
-        kept.append(m)
-        reach = start + m.length
-    if run is not None:
-        kept += _resolve_overlaps(run)
-    return kept
-
-
 def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | None = None,
                   default_order: str | None = None, reject_two_digit_years: bool = False,
                   diagnostics=None):
@@ -732,11 +698,11 @@ def extract_dates(text: str, lexicon: DateLexicon, reference: datetime.date | No
     if default not in (ORDER_DMY, ORDER_MDY):
         raise ConfigError("default order must be dmy or mdy, got %r" % default_order)
     order = infer_document_order(numeric, default)
-    # Numeric discards reach ``diagnostics`` before lexical ones.  Overlaps keep
-    # the longest match, then the leftmost, within each run of overlapping matches.
+    # Numeric discards reach ``diagnostics`` before lexical ones.  No lexical
+    # date shares a token with another date (``find_lexical_dates``).
     matches = [m for c in numeric if (m := normalize_match(
         c, order, reject_two_digit_years, diagnostics)) is not None]
-    kept = _drop_overlaps(matches + find_lexical_dates(text, lexicon, numeric, diagnostics))
+    kept = sorted(matches + find_lexical_dates(text, lexicon, numeric, diagnostics), key=_offset)
 
     if reference is not None:
         for i, m in enumerate(kept):

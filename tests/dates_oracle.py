@@ -8,9 +8,11 @@ with a forward search over the text between the floor and the month, and
 ``normalize_match`` has one path for numeric candidates and one for lexical
 ones, which it validates after the scan.  The numeric, month and relative-day
 patterns start with their lookbehind, with no first-character filter, and
-months and relative days are two scans.  Each anchor's floor is recomputed
-from every candidate so far, except that a day read last on a month's right
-may be the next month's day, and overlaps are resolved by a pairwise scan.
+months and relative days are two scans.  Each anchor's floor and the limit of
+its right contexts are recomputed from every candidate so far, a spelled year
+tries each run of number words in turn, and whether the next month takes a
+day is a forward search from that day.  No two candidates share a token, so
+no pairwise overlap scan follows.
 """
 
 import calendar
@@ -137,13 +139,38 @@ class NormalizedDate:
         return "M%02dY%+d" % (self.month, self.rel_offset)
 
 
-def _scan_month(text, m, sc, left, floor):
-    """The candidate at month match ``m``, or None, and the end of what it claims
-    from the next month's left context: all of it but a day read last on the right."""
+def _spelled_year(sc, text, pos, limit):
+    """(year, thousand form, end) of the longest run of number words after
+    ``pos`` that ends by ``limit``, composes a year and does not end in a join
+    word, or None."""
+    rm = sc.re_numseq.match(text, pos)
+    if rm is None:
+        return None
+    found = None
+    words = []
+    for w in re.finditer(r"[^\s-]+", rm.group(1)):
+        words.append(w.group())
+        end = rm.start(1) + w.end()
+        value, used_thousand = sc.compose_spelled_year(words)
+        if value is not None and end <= limit and sc.lexicon.number_words[words[-1]] != 0:
+            found = value, used_thousand, end
+    return found
+
+
+def _takes_day(text, left, following, day_start):
+    """Whether the next anchor is a month whose left day starts at ``day_start``."""
+    if following is None or not following[2]:
+        return False
+    lm = left["day_left"].search(text, day_start, following[0])
+    return lm is not None and lm.start(2) == day_start
+
+
+def _scan_month(text, m, sc, left, floor, limit, following):
+    """The candidate at month match ``m``, or None."""
     month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
     anchor = start
-    day = year = rel_year = day_right = None
+    day = year = rel_year = None
     spelled_thousand = False
 
     lm = left["day_left"].search(text, floor, anchor)
@@ -167,7 +194,7 @@ def _scan_month(text, m, sc, left, floor):
     pos = end
     if sc.re_relyear is not None and day is None and year is None:
         rm = sc.re_relyear.match(text, pos)
-        if rm is not None:
+        if rm is not None and rm.end(1) <= limit:
             rel_year = sc.lexicon.relative_years[rm.group(1)]
             end = rm.end(1)
     if rel_year is None:
@@ -175,27 +202,22 @@ def _scan_month(text, m, sc, left, floor):
             matched = False
             if year is None:
                 rm = sc.re_year_right.match(text, pos)
-                if rm is not None:
+                spelled = _spelled_year(sc, text, pos, limit)
+                if rm is not None and rm.end(1) <= limit:
                     year = int(rm.group(1))
                     pos = end = rm.end(1)
                     matched = True
-                elif sc.re_numseq is not None:
-                    rm = sc.re_numseq.match(text, pos)
-                    if rm is not None:
-                        words = re.split(r"[\s-]+", rm.group(1))
-                        value, used_thousand = sc.compose_spelled_year(words)
-                        if value is not None:
-                            year = value
-                            spelled_thousand = used_thousand
-                            pos = end = rm.end(1)
-                            matched = True
+                elif spelled is not None:
+                    year, spelled_thousand, pos = spelled
+                    end = pos
+                    matched = True
             if not matched and day is None:
                 rm = sc.re_day_right.match(text, pos)
-                if rm is not None:
+                if (rm is not None and rm.end(1) <= limit
+                        and not _takes_day(text, left, following, rm.start(1))):
                     parsed = sc.parse_day(rm.group(1))
                     if parsed is not None:
                         day = parsed
-                        day_right = (pos, rm.end(1))
                         pos = end = rm.end(1)
                         matched = True
             if not matched:
@@ -206,58 +228,58 @@ def _scan_month(text, m, sc, left, floor):
         end = m.end(1)
 
     if rel_year is not None:
-        cand = LexicalCandidate(offset=start, length=end - start,
+        return LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.MONTH_RELATIVE_YEAR,
                                 month=month, rel_offset=rel_year)
-    elif day is not None and year is not None:
-        cand = LexicalCandidate(offset=start, length=end - start,
+    if day is not None and year is not None:
+        return LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.FULL,
                                 year=year, month=month, day=day)
-    elif year is not None:
-        cand = LexicalCandidate(offset=start, length=end - start,
+    if year is not None:
+        return LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.YEAR_MONTH,
                                 year=year, month=month)
-    elif day is not None:
-        cand = LexicalCandidate(offset=start, length=end - start,
+    if day is not None:
+        return LexicalCandidate(offset=start, length=end - start,
                                 surface=text[start:end], kind=DateKind.MONTH_DAY,
                                 month=month, day=day)
-    else:
-        pm = left["premod"].search(text, floor, anchor)
-        if pm is None:
-            return None, None
-        start = pm.start(1)
-        cand = LexicalCandidate(offset=start, length=end - start,
-                                surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
-                                month=month,
-                                rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
-    if day_right is not None and day_right[1] == end:
-        return cand, day_right[0]
-    return cand, end
+    pm = left["premod"].search(text, floor, anchor)
+    if pm is None:
+        return None
+    start = pm.start(1)
+    return LexicalCandidate(offset=start, length=end - start,
+                            surface=text[start:end], kind=DateKind.RELATIVE_MONTH,
+                            month=month, rel_offset=sc.lexicon.pre_modifiers[pm.group(1)])
 
 
 def find_lexical_dates(text, lexicon, numeric):
-    """Each anchor's left context reads from the furthest end of the candidates
-    that start before it, but no further right than the anchor; a lexical
-    candidate ends, for this, where ``_scan_month`` says its claim ends."""
+    """An anchor that a candidate before it overlaps, or a numeric candidate
+    starts inside, is skipped.  Each month's left context reads from the
+    furthest end of the candidates that start before it, and its right context
+    no further than the start of the next numeric candidate."""
     sc = lexicon._scanner
     left = left_patterns(lexicon)
     anchors = [(m.start(), m, True) for m in month_pattern(lexicon).finditer(text)]
     if lexicon.relative_days:
         anchors += [(m.start(), m, False) for m in relday_pattern(lexicon).finditer(text)]
+    anchors.sort(key=lambda a: a[0])
     candidates = []
     claims = [(c.offset, c.offset + c.length) for c in numeric]
-    for start, m, is_month in sorted(anchors, key=lambda a: a[0]):
+    for i, (start, m, is_month) in enumerate(anchors):
+        if any(s < m.end() and e > start for s, e in claims):
+            continue
         if is_month:
-            ends = [e for s, e in claims if s < start]
-            c, claim = _scan_month(text, m, sc, left, min(start, max(ends, default=0)))
-            if c is not None:
-                candidates.append(c)
-                claims.append((c.offset, claim))
+            floor = max((e for s, e in claims if s < start), default=0)
+            limit = min((c.offset for c in numeric if c.offset >= start), default=len(text))
+            following = anchors[i + 1] if i + 1 < len(anchors) else None
+            c = _scan_month(text, m, sc, left, floor, limit, following)
         else:
-            candidates.append(LexicalCandidate(
+            c = LexicalCandidate(
                 offset=m.start(), length=m.end() - m.start(), surface=m.group(0),
-                kind=DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[m.group(1)]))
-            claims.append((m.start(), m.end()))
+                kind=DateKind.RELATIVE_DAY, rel_offset=lexicon.relative_days[m.group(1)])
+        if c is not None:
+            candidates.append(c)
+            claims.append((c.offset, c.offset + c.length))
     return candidates
 
 
@@ -341,14 +363,8 @@ def extract_dates(text, lexicon, reference=None, default_order=None,
         m = normalize_match(cand, order, reject_two_digit_years, diagnostics)
         if m is not None:
             matches.append(m)
-    matches.sort(key=lambda m: (-m.length, m.offset))
-    kept = []
-    for m in matches:
-        if not any(m.offset < k.offset + k.length and m.offset + m.length > k.offset
-                   for k in kept):
-            kept.append(m)
-    kept.sort(key=lambda m: m.offset)
+    matches.sort(key=lambda m: m.offset)
     if reference is not None:
-        kept = [DateMatch(m.offset, m.length, m.surface, m.normal,
-                          resolve_relative(m.normal, reference)) for m in kept]
-    return kept
+        matches = [DateMatch(m.offset, m.length, m.surface, m.normal,
+                             resolve_relative(m.normal, reference)) for m in matches]
+    return matches

@@ -1,13 +1,15 @@
 import calendar
 import datetime
 import re
+from itertools import combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from placetime import dates
-from placetime.dates import (DateKind, DateMatch, NormalizedDate, extract_dates,
+from placetime.dates import (DateKind, NormalizedDate, extract_dates,
                              find_lexical_dates, find_numeric_dates,
                              infer_document_order, load_date_lexicon,
                              normalize_match, resolve_relative)
@@ -560,21 +562,35 @@ class TestYearSharedByNeighbours:
         # No left context starts inside the word a numeric date ends.
         ("Filed 12/05/2003first June, 12/05/2003next June.",
          [("12/05/2003", "2003-05-12"), ("12/05/2003", "2003-05-12")]),
-        # A day read last on a month's right can be the next month's day, and
-        # the longer date wins.
+        # A day on a month's right goes to the next month when that month
+        # reads it as its own left day.
         ("In May, 12 June 2003", [("12 June 2003", "2003-06-12")]),
         ("May, the 12th of June 2003", [("12th of June 2003", "2003-06-12")]),
         # A month-anchored date claims its tokens though normalization
         # discards it: alone, "2003 May" is a date.
         ("Due February 30, 2003 May was cold.", []),
+        ("In May, 31 June", []),
+        # So a day between two months is ambiguous, and goes to the later one;
+        # a year goes to the month before it.
+        ("May 3, June 4", [("3, June", "--06-03")]),
+        ("May 3, 2004 June", [("May 3, 2004", "2004-05-03")]),
+        ("next May, 2004 June", [("May, 2004", "2004-05")]),
+        # A right context stops at the next numeric date.
+        ("X this June, 31/08/1981 y.", [("this June", "M06+0"), ("31/08/1981", "1981-08-31")]),
+        ("X Nov. twenty fifteen and 1959-12-16 y.",
+         [("Nov. twenty fifteen", "2015-11"), ("1959-12-16", "1959-12-16")]),
+        # A spelled year is the longest run of number words that composes one
+        # and does not end in a join word.
+        ("In May twenty seventeen and rain fell.", [("May twenty seventeen", "2017-05")]),
+        ("X Jul nineteen fourteen twenty-fourth May y.",
+         [("Jul nineteen fourteen", "1914-07"), ("twenty-fourth May", "--05-24")]),
     ])
     def test_shapes(self, lexicon_en, text, expected):
         assert [(m.surface, m.normal.to_string())
                 for m in extract_dates(text, lexicon_en)] == expected
 
-    # A month's right context is read up to whatever follows it, so a date
-    # it reaches into is lost or cut short.
-    @pytest.mark.xfail(strict=True, reason="a right context reads into the next date")
+    # A month's right context stops at the next date, so neither is lost or
+    # cut short.
     @pytest.mark.parametrize("text, expected", [
         ("Signed June 4, 2003-05-12 was filed.",
          [("June 4", "--06-04"), ("2003-05-12", "2003-05-12")]),
@@ -588,21 +604,37 @@ class TestYearSharedByNeighbours:
 
 # The phrase shapes that take a surface from a lexicon section, and the section.
 _SHAPE_SECTIONS = {"relative_day": "relative_days", "relative_year": "relative_years",
-                   "pre_modifier": "pre_modifiers"}
+                   "pre_modifier": "pre_modifiers", "spelled_year": "number_words"}
+
+
+class _Phrase(NamedTuple):
+    """A date phrase, its normal form and the kinds of its first and last token
+    that a neighbouring date can read: ``lead`` is "year" for a year before
+    the month and "month" for a phrase that starts with its month; ``trail``
+    is "day" for a day on the month's right and "month" for a month that has
+    no year and reads its right."""
+
+    text: str
+    normal: str
+    lead: str | None = None
+    trail: str | None = None
+
+
+def _spelled(lexicon, number):
+    """``number``, 10..99, in the lexicon's number words."""
+    word = {v: k for k, v in lexicon.number_words.items()}
+    if number < 20 or number % 10 == 0:
+        return word[number]
+    return "%s %s" % (word[number - number % 10], word[number % 10])
 
 
 @st.composite
-def _phrase(draw, lexicon, closed):
-    """(text, normal form) of one date phrase built from the lexicon's entries.
-
-    A ``closed`` phrase leaves its right context nothing to take, so that any
-    phrase may follow it: a full date, spelled or numeric, a relative day or a
-    month with a relative year.  The others may also be a month with a day or
-    a year only, or a month after a pre-modifier.
-    """
-    shapes = ["full", "numeric", "iso", "relative_day", "relative_year"]
-    if not closed:
-        shapes += ["month_day", "year_month", "pre_modifier"]
+def _phrase(draw, lexicon):
+    """One date phrase built from the lexicon's entries: a full date, spelled
+    or numeric, a month with a day or a year (spelled or not), a relative day
+    or a month with a relative year or a pre-modifier.  A day is a number or
+    one of its day ordinals."""
+    shapes = ["full", "numeric", "iso", "month_day", "year_month", *_SHAPE_SECTIONS]
     shape = draw(st.sampled_from([s for s in shapes if s not in _SHAPE_SECTIONS
                                   or getattr(lexicon, _SHAPE_SECTIONS[s])]))
     n = draw(st.integers(1, 12))
@@ -610,27 +642,42 @@ def _phrase(draw, lexicon, closed):
     day = draw(st.integers(1, 28))
     year = draw(st.integers(1950, 2049))
     full = "%04d-%02d-%02d" % (year, n, day)
+    spoken = draw(st.sampled_from([str(day), *(s for s, v in lexicon.day_ordinals.items()
+                                                if v == day)]))
     if shape == "full":
-        return draw(st.sampled_from(["%d %s %d" % (day, month, year),
-                                     "%s %d, %d" % (month, day, year)])), full
+        return draw(st.sampled_from([_Phrase("%s %s %d" % (spoken, month, year), full),
+                                     _Phrase("%s %s, %d" % (month, spoken, year), full,
+                                             "month")]))
     if shape == "numeric":       # a day past 12 forces day-month-year
         day = draw(st.integers(13, 28))
-        return "%d/%02d/%d" % (day, n, year), "%04d-%02d-%02d" % (year, n, day)
+        return _Phrase("%d/%02d/%d" % (day, n, year), "%04d-%02d-%02d" % (year, n, day))
     if shape == "iso":
-        return "%d-%02d-%02d" % (year, n, day), full
+        return _Phrase("%d-%02d-%02d" % (year, n, day), full)
     if shape == "month_day":
-        return draw(st.sampled_from(["%s %d" % (month, day), "%d %s" % (day, month)])), (
-            "--%02d-%02d" % (n, day))
+        normal = "--%02d-%02d" % (n, day)
+        return draw(st.sampled_from([_Phrase("%s %s" % (month, spoken), normal, "month", "day"),
+                                     _Phrase("%s %s" % (spoken, month), normal, None, "month")]))
     if shape == "year_month":
-        return draw(st.sampled_from(["%s %d" % (month, year), "%d %s" % (year, month)])), (
-            "%04d-%02d" % (year, n))
+        normal = "%04d-%02d" % (year, n)
+        return draw(st.sampled_from([_Phrase("%s %d" % (month, year), normal, "month"),
+                                     _Phrase("%d %s" % (year, month), normal, "year")]))
+    if shape == "spelled_year":
+        year = draw(st.integers(1910, 2029).filter(lambda y: y % 100 >= 10))
+        return _Phrase("%s %s %s" % (month, _spelled(lexicon, year // 100),
+                                     _spelled(lexicon, year % 100)),
+                       "%04d-%02d" % (year, n), "month")
     table = getattr(lexicon, _SHAPE_SECTIONS[shape])
     surface = draw(st.sampled_from(sorted(table)))
     if shape == "relative_day":
-        return surface, "D%+d" % table[surface]
+        return _Phrase(surface, "D%+d" % table[surface])
     if shape == "relative_year":
-        return "%s %s" % (month, surface), "M%02dY%+d" % (n, table[surface])
-    return "%s %s" % (surface, month), "M%02d%+d" % (n, table[surface])
+        return _Phrase("%s %s" % (month, surface), "M%02dY%+d" % (n, table[surface]), "month")
+    return _Phrase("%s %s" % (surface, month), "M%02d%+d" % (n, table[surface]), None, "month")
+
+
+def _read(text, lexicon, base=0):
+    return [(base + m.offset, m.surface, m.normal.to_string())
+            for m in extract_dates(text, lexicon)]
 
 
 @pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
@@ -638,12 +685,26 @@ def _phrase(draw, lexicon, closed):
 @given(data=st.data())
 def test_neighbouring_dates_keep_their_own_forms(lexicon_name, data, request):
     lexicon = request.getfixturevalue(lexicon_name)
-    first = data.draw(_phrase(lexicon, closed=True))
-    second = data.draw(_phrase(lexicon, closed=False))
-    joint = data.draw(st.sampled_from([", ", " and ", "; "]))
-    text = first[0] + joint + second[0]
-    assert [(m.offset, m.surface, m.normal.to_string()) for m in extract_dates(text, lexicon)] == [
-        (0, *first), (len(first[0] + joint), *second)]
+    first, second = data.draw(_phrase(lexicon)), data.draw(_phrase(lexicon))
+    joint = data.draw(st.sampled_from([", ", " and ", "; ", " "]))
+    text = first.text + joint + second.text
+    # Across a joint of separators only, two readings are ambiguous, and the
+    # rules of ``find_lexical_dates`` choose: a day on a month's right goes to
+    # a month after it that reads it as its left day ("May 3, June 4" gives
+    # "3, June"), and a year goes to the month before it ("May 3, 2004 June"
+    # gives "May 3, 2004").  Each side of the token that moves then reads as
+    # it does alone.
+    cut = None
+    if joint in (", ", " ") and first.trail == "day" and second.lead == "month":
+        cut = first.text.rindex(" ") + 1
+    elif joint in (", ", " ") and first.trail and second.lead == "year":
+        cut = len(first.text + joint) + second.text.index(" ")
+    if cut is None:
+        expected = [(0, first.text, first.normal),
+                    (len(first.text + joint), second.text, second.normal)]
+    else:
+        expected = _read(text[:cut], lexicon) + _read(text[cut:], lexicon, cut)
+    assert _read(text, lexicon) == expected
 
 
 # --------------------------------------------------------------------------
@@ -789,57 +850,6 @@ class TestNumericPrefilter:
         assert (c.offset, c.surface, c.f1, c.f2, c.f3, c.ymd) == (3, text, *fields)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_joined(st.sampled_from(("2003", "1999", "12", "31", "5", "2nd", "the", "of", "May",
-                                "March", "Jan.", "next", "last year", "today"))))
-def test_overlap_resolution_equals_pairwise(lexicon_en, text):
-    numeric = find_numeric_dates(text)
-    order = infer_document_order(numeric, lexicon_en.default_order)
-    matches = [m for c in numeric if (m := normalize_match(c, order)) is not None]
-    matches += find_lexical_dates(text, lexicon_en, numeric)
-    matches.sort(key=lambda m: (-m.length, m.offset))
-    kept = []
-    for m in matches:
-        if not any(m.offset < k.offset + k.length and m.offset + m.length > k.offset
-                   for k in kept):
-            kept.append(m)
-    assert extract_dates(text, lexicon_en) == sorted(kept, key=lambda m: m.offset)
-
-
-def _spans_kept_pairwise(matches):
-    """The longest, then leftmost, of overlapping matches, each checked
-    against every match kept before it."""
-    kept = []
-    for m in sorted(matches, key=lambda m: (-m.length, m.offset)):
-        if not any(m.offset < k.offset + k.length and m.offset + m.length > k.offset
-                   for k in kept):
-            kept.append(m)
-    return sorted(kept, key=lambda m: m.offset)
-
-
-def _span_matches(spans):
-    # Each surface numbers its match, so that of two with one span the
-    # comparison sees which one was kept.
-    normal = NormalizedDate(DateKind.RELATIVE_DAY, rel_offset=0)
-    return [DateMatch(offset, length, str(i), normal)
-            for i, (offset, length) in enumerate(spans)]
-
-
-# Dense, short spans in any order: runs of three or more matches whose first
-# and last members do not overlap, and equal spans, are common.
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)), max_size=30))
-def test_overlap_runs_equal_pairwise(spans):
-    matches = _span_matches(spans)
-    assert dates._drop_overlaps(matches) == _spans_kept_pairwise(matches)
-
-
-def test_overlap_run_keeps_disjoint_ends():
-    # (4, 6) joins (0, 5) and (5, 10) into one run, though they do not overlap.
-    kept = dates._drop_overlaps(_span_matches([(5, 5), (4, 2), (0, 5)]))
-    assert [(m.offset, m.offset + m.length) for m in kept] == [(0, 5), (5, 10)]
-
-
 # --------------------------------------------------------------------------
 # extract_dates against the normalizer it replaced
 
@@ -908,6 +918,24 @@ def test_extract_dates_equals_oracle(lexicon_name, data, request):
     expected = dates_oracle.extract_dates(text, lexicon, reference, order, reject, want)
     assert _records(matches) == _records(expected)
     assert got == want
+
+
+def _check_disjoint(text, lexicon):
+    """The normalised numeric matches and the lexical ones share no character."""
+    numeric = find_numeric_dates(text)
+    order = infer_document_order(numeric, lexicon.default_order)
+    matches = [m for c in numeric if (m := normalize_match(c, order)) is not None]
+    matches += find_lexical_dates(text, lexicon, numeric)
+    spans = [(m.offset, m.offset + m.length) for m in matches]
+    assert [(a, b) for a, b in combinations(spans, 2) if a[0] < b[1] and b[0] < a[1]] == []
+
+
+@pytest.mark.parametrize("lexicon_name", ["lexicon_en", "lexicon_ro"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_and_lexical_matches_are_disjoint(lexicon_name, data, request):
+    lexicon = request.getfixturevalue(lexicon_name)
+    _check_disjoint(data.draw(_joined(_date_words(lexicon), 24)), lexicon)
 
 
 # --------------------------------------------------------------------------
@@ -1139,6 +1167,22 @@ def test_generated_lexicon_probes_equal_forward_search(tmp_path_factory, source,
     lexicon = _load_generated(tmp_path_factory, source)
     assume(lexicon is not None)
     _check_left_text(lexicon, text, range(len(text) + 1), floors)
+
+
+# Text of the pieces generated surfaces are made of, numeric dates and fields.
+_PIECE_TEXT = st.lists(_PIECES | _NUMERIC | _FIELD | _YEAR | st.sampled_from([" ", ", "]),
+                       max_size=40).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=_lexicon_file(), text=_PIECE_TEXT)
+# A month "99" inside the numeric date, with a relative year after it.
+@example(source="[months]\n1 = 99\n" + "".join("%d = m%d\n" % (i, i) for i in range(2, 13))
+         + "[relative_years]\nmaiMa = 1\n", text="1/2/99 maiMa")
+def test_generated_lexicon_matches_are_disjoint(tmp_path_factory, source, text):
+    lexicon = _load_generated(tmp_path_factory, source)
+    assume(lexicon is not None)
+    _check_disjoint(text, lexicon)
 
 
 def test_probe_span_lexicon(tmp_path_factory):
