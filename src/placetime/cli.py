@@ -21,7 +21,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import annotate, dates, gazetteer, geotag, langid, mapviz
+# Every other placetime module is imported by the functions that use it, so a
+# process loads only its own command's modules.  Each is called as
+# ``module.function``, so that a wrapper set on the module is seen.
 from .errors import (ConfigError, LoadError, PlacetimeError, TrainingError, check_country,
                      read_lines)
 
@@ -29,18 +31,22 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def build_parser(command=None):
-    """The ``placetime`` parser: every subcommand, with arguments for ``command``'s only.
+    """The ``placetime`` parser: ``command``'s subparser alone, or with ``None`` all six.
 
-    Each subcommand is registered with its name and help, which is all that the
-    top-level usage, ``--help`` and invalid-choice error print.  With ``None``,
-    every subcommand gets its arguments.
+    Once ``command`` is given, only the top-level usage line names the other
+    subcommands, and the metavar prints them there as argparse would.  The
+    ``--help`` listing and the missing- and invalid-command errors need the
+    full parser.
     """
     parser = argparse.ArgumentParser(prog="placetime", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(_COMMANDS))
     for name, entry in _COMMANDS.items():
-        p = sub.add_parser(name, help=entry.help)
         if command is None or command == name:
-            entry.add_arguments(p)
+            entry.add_arguments(sub.add_parser(name, help=entry.help))
     return parser
 
 
@@ -73,6 +79,7 @@ def _decoder(args):
 
     An unknown ``--encoding`` fails here, before any file is read.
     """
+    from . import langid
     if args.encoding:
         langid.decode_to_utf8(b"", args.encoding)
     profiles = (langid.load_profile_dir(args.profiles)
@@ -126,6 +133,7 @@ def _identify_arguments(p):
 
 
 def cmd_identify(args):
+    from . import langid
     profiles = langid.load_profile_dir(args.profiles)
 
     def analyse(path, raw):
@@ -143,6 +151,7 @@ def _train_profile_arguments(p):
 
 
 def cmd_train_profile(args):
+    from . import langid
     try:
         label = langid.LangEncLabel(args.lang, args.encoding)
     except ValueError as exc:
@@ -185,6 +194,7 @@ def _date_span(m):
 
 
 def _dates_arguments(p):
+    from . import dates
     _document_arguments(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--reference", metavar="YYYY-MM-DD")
@@ -195,6 +205,7 @@ def _dates_arguments(p):
 
 
 def cmd_dates(args):
+    from . import annotate, dates
     decode = _decoder(args)
     lexicon = dates.load_date_lexicon(args.lexicon)
     reference = None
@@ -296,6 +307,7 @@ def _places_arguments(p):
 
 
 def cmd_places(args):
+    from . import annotate, gazetteer, geotag
     decode = _decoder(args)
     spec = args.max_size_class_outside
     limit, keep = _parse_size_filter(spec) if spec else (None, ())
@@ -333,6 +345,7 @@ _decode_json = json.JSONDecoder().raw_decode
 
 
 def cmd_map(args):
+    from . import geotag, mapviz
     try:
         style = mapviz.MapStyle(width=args.width, height=args.height)
     except ValueError as exc:
@@ -424,6 +437,7 @@ def _propose_stopwords_arguments(p):
 
 
 def cmd_propose_stopwords(args):
+    from . import gazetteer
     if args.top_n < 1:
         raise ConfigError("--top-n must be at least 1")
     index = gazetteer.load_gazetteer(args.gazetteer)
@@ -457,12 +471,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse hands the rest of argv to the subparser named by the first word
-    # that is not an option, and fails if that word names none.  No top-level
-    # option takes a value and no subcommand name starts with "-", so the
-    # subparser that runs, if any, is named by the first word that names one.
-    command = next((word for word in argv if word in _COMMANDS), "")
-    args = build_parser(command).parse_args(argv)
+    # A first word that names a subcommand hands it all the rest of argv.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _COMMANDS[args.command].run(args)
     except (ConfigError, LoadError, TrainingError) as exc:

@@ -457,13 +457,21 @@ class _Scanner:
                     return year, thousand, last.end()
         return None
 
-    def reads_left_day(self, rev, m, start):
-        """Whether anchor ``m`` is a month whose left-day read puts its day at ``start``."""
+    def takes_day(self, text, rev, m, start, limit):
+        """Whether anchor ``m`` is a month whose left-day read puts its day at
+        ``start`` and that reads no day on its own right before ``limit``.
+
+        ``limit``, the next numeric candidate after the month before, is also
+        the next after ``m`` whenever ``m`` can read that day: no connector
+        holds a digit."""
         if m is None or m.group() not in self.lexicon.months:
             return False
         n = len(rev)
         lm = self.rev_day_left.match(rev, n - m.start(), n - start)
-        return lm is not None and lm.end(1) == n - start
+        if lm is None or lm.end(1) != n - start:
+            return False
+        rm = self.re_day_right.match(text, m.end())
+        return rm is None or rm.end(1) > limit or self.parse_day(rm.group(1)) is None
 
     def compose_spelled_year(self, words):
         """(year, thousand form) of number words, or (None, False): two groups
@@ -519,8 +527,10 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=Non
     2. No right-context token (year, spelled year, day, relative year) ends
        past the start of the next numeric candidate.
     3. A day read on a month's right goes to the next anchor when that is a
-       month whose left-day read puts its day there ("In May, 12 June 2003"
-       gives ``12 June 2003``).  Every other token stays with the date before.
+       month whose left-day read puts its day there and that reads no day on
+       its own right ("In May, 12 June 2003" gives ``12 June 2003``, and "May
+       3, June 4" gives ``May 3`` and ``June 4``).  Every other token stays
+       with the date before.
 
     A date that names no calendar day ("February 30") goes onto ``diagnostics``
     as (offset, surface, reason), but keeps its tokens.
@@ -587,7 +597,7 @@ def find_lexical_dates(text: str, lexicon: DateLexicon, numeric, diagnostics=Non
                 if day is None:
                     rm = sc.re_day_right.match(text, end)
                     if (rm is not None and rm.end(1) <= limit
-                            and not sc.reads_left_day(rev, following, rm.start(1))):
+                            and not sc.takes_day(text, rev, following, rm.start(1), limit)):
                         day = sc.parse_day(rm.group(1))
                         if day is not None:
                             end = rm.end(1)

@@ -11,8 +11,8 @@ patterns start with their lookbehind, with no first-character filter, and
 months and relative days are two scans.  Each anchor's floor and the limit of
 its right contexts are recomputed from every candidate so far, a spelled year
 tries each run of number words in turn, and whether the next month takes a
-day is a forward search from that day.  No two candidates share a token, so
-no pairwise overlap scan follows.
+day is a forward search from that day and a read of that month's own right.
+No two candidates share a token, so no pairwise overlap scan follows.
 """
 
 import calendar
@@ -157,15 +157,19 @@ def _spelled_year(sc, text, pos, limit):
     return found
 
 
-def _takes_day(text, left, following, day_start):
-    """Whether the next anchor is a month whose left day starts at ``day_start``."""
+def _takes_day(text, sc, left, following, day_start, limit):
+    """Whether the next anchor is a month whose left day starts at ``day_start``
+    and that reads no day on its right before ``limit``, its own limit."""
     if following is None or not following[2]:
         return False
     lm = left["day_left"].search(text, day_start, following[0])
-    return lm is not None and lm.start(2) == day_start
+    if lm is None or lm.start(2) != day_start:
+        return False
+    rm = sc.re_day_right.match(text, following[1].end(1))
+    return rm is None or rm.end(1) > limit or sc.parse_day(rm.group(1)) is None
 
 
-def _scan_month(text, m, sc, left, floor, limit, following):
+def _scan_month(text, m, sc, left, floor, limit, following, following_limit):
     """The candidate at month match ``m``, or None."""
     month = sc.lexicon.months[m.group(1)]
     start, end = m.start(1), m.end(1)
@@ -214,7 +218,8 @@ def _scan_month(text, m, sc, left, floor, limit, following):
             if not matched and day is None:
                 rm = sc.re_day_right.match(text, pos)
                 if (rm is not None and rm.end(1) <= limit
-                        and not _takes_day(text, left, following, rm.start(1))):
+                        and not _takes_day(text, sc, left, following, rm.start(1),
+                                           following_limit)):
                     parsed = sc.parse_day(rm.group(1))
                     if parsed is not None:
                         day = parsed
@@ -272,7 +277,9 @@ def find_lexical_dates(text, lexicon, numeric):
             floor = max((e for s, e in claims if s < start), default=0)
             limit = min((c.offset for c in numeric if c.offset >= start), default=len(text))
             following = anchors[i + 1] if i + 1 < len(anchors) else None
-            c = _scan_month(text, m, sc, left, floor, limit, following)
+            following_limit = following and min(
+                (c.offset for c in numeric if c.offset >= following[0]), default=len(text))
+            c = _scan_month(text, m, sc, left, floor, limit, following, following_limit)
         else:
             c = LexicalCandidate(
                 offset=m.start(), length=m.end() - m.start(), surface=m.group(0),

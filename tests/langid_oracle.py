@@ -39,7 +39,7 @@ def score_text(profile, text):
     if len(text) < 3:
         raise ScoringError("text must hold at least 3 bytes, got %d" % len(text))
     trigrams, bigrams = profile.trigram_counts, profile.bigram_counts
-    total = 0.0
+    terms = []
     for key, n in Counter(zip(text, text[1:], text[2:])).items():
         t, b = trigrams.get(key), bigrams.get(key[:2])
         if t is not None:
@@ -48,8 +48,9 @@ def score_text(profile, text):
             logp = math.log(1 / (b + 256))
         else:
             logp = _UNSEEN_BIGRAM
-        total += n * logp
-    return total / (len(text) - 2)
+        terms.append(n * logp)
+    # sum(), as langid sums them: from Python 3.12 on it rounds differently from +=.
+    return sum(terms) / (len(text) - 2)
 
 
 def identify(profiles, text):

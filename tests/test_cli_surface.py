@@ -13,8 +13,11 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import placetime
+from placetime import cli
 from placetime.cli import DATA_DIR, build_parser, main
 
 LEX_EN = str(DATA_DIR / "lexicons" / "en.lex")
@@ -276,18 +279,44 @@ def _add_argument_calls(monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", VALID_ARGV)
-def test_build_parser_adds_only_the_named_arguments(capsys, monkeypatch, command):
+def test_build_parser_adds_only_the_named_arguments(monkeypatch, command):
     full_calls, full = _add_argument_calls(monkeypatch, None)
     calls, parser = _add_argument_calls(monkeypatch, command)
     assert calls < full_calls
     for argv in VALID_ARGV[command]:
         assert parser.parse_args(argv) == full.parse_args(argv)
-    for other, argvs in VALID_ARGV.items():
-        if other != command:
-            with pytest.raises(SystemExit) as excinfo:
-                parser.parse_args(argvs[0])
-            assert excinfo.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Every word of the valid argvs (each command, option and value), help flags,
+# abbreviated and joined options, and words that no parser knows.
+_ARGV_WORDS = sorted({word for argvs in VALID_ARGV.values() for argv in argvs for word in argv}
+                     | {"-h", "--help", "--", "-", "--lex", "--out=o.txt", "-x", "--bogus",
+                        "bogus", ""})
+
+
+def _outcome(parse, argv, capsys):
+    """``parse(argv)``'s namespace, or its exit code, with what it wrote."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(
+    st.lists(st.sampled_from(_ARGV_WORDS), max_size=8),
+    st.builds(lambda first, rest: [first, *rest], st.sampled_from(list(VALID_ARGV)),
+              st.lists(st.sampled_from(_ARGV_WORDS), max_size=8))))
+def test_main_parses_as_the_full_parser(capsys, columns_80, monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {name: entry._replace(run=seen.append)
+                                           for name, entry in cli._COMMANDS.items()})
+    result, written = _outcome(main, argv, capsys)
+    if result is None:
+        result = seen.pop()
+    assert (result, written) == _outcome(build_parser(None).parse_args, argv, capsys)
 
 
 @pytest.mark.parametrize("reference, code", [("2003-03-01", 0), ("2003-02-30", 2)])

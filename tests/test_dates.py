@@ -570,9 +570,10 @@ class TestYearSharedByNeighbours:
         # discards it: alone, "2003 May" is a date.
         ("Due February 30, 2003 May was cold.", []),
         ("In May, 31 June", []),
-        # So a day between two months is ambiguous, and goes to the later one;
-        # a year goes to the month before it.
-        ("May 3, June 4", [("3, June", "--06-03")]),
+        # So a day between two months is ambiguous.  It goes to the later one
+        # unless that one reads a day on its right (more cases last, so the
+        # other ids keep their numbers); a year goes to the month before it.
+        ("May 3, June 4", [("May 3", "--05-03"), ("June 4", "--06-04")]),
         ("May 3, 2004 June", [("May 3, 2004", "2004-05-03")]),
         ("next May, 2004 June", [("May, 2004", "2004-05")]),
         # A right context stops at the next numeric date.
@@ -584,6 +585,8 @@ class TestYearSharedByNeighbours:
         ("In May twenty seventeen and rain fell.", [("May twenty seventeen", "2017-05")]),
         ("X Jul nineteen fourteen twenty-fourth May y.",
          [("Jul nineteen fourteen", "1914-07"), ("twenty-fourth May", "--05-24")]),
+        ("May 3, June 2004", [("3, June 2004", "2004-06-03")]),
+        ("May 3, June 4, 2004", [("May 3", "--05-03"), ("June 4, 2004", "2004-06-04")]),
     ])
     def test_shapes(self, lexicon_en, text, expected):
         assert [(m.surface, m.normal.to_string())
@@ -610,9 +613,9 @@ _SHAPE_SECTIONS = {"relative_day": "relative_days", "relative_year": "relative_y
 class _Phrase(NamedTuple):
     """A date phrase, its normal form and the kinds of its first and last token
     that a neighbouring date can read: ``lead`` is "year" for a year before
-    the month and "month" for a phrase that starts with its month; ``trail``
-    is "day" for a day on the month's right and "month" for a month that has
-    no year and reads its right."""
+    the month and "month" for a phrase that starts with a month that reads no
+    day on its right; ``trail`` is "day" for a day on the month's right and
+    "month" for a month that has no year and reads its right."""
 
     text: str
     normal: str
@@ -646,8 +649,7 @@ def _phrase(draw, lexicon):
                                                 if v == day)]))
     if shape == "full":
         return draw(st.sampled_from([_Phrase("%s %s %d" % (spoken, month, year), full),
-                                     _Phrase("%s %s, %d" % (month, spoken, year), full,
-                                             "month")]))
+                                     _Phrase("%s %s, %d" % (month, spoken, year), full)]))
     if shape == "numeric":       # a day past 12 forces day-month-year
         day = draw(st.integers(13, 28))
         return _Phrase("%d/%02d/%d" % (day, n, year), "%04d-%02d-%02d" % (year, n, day))
@@ -655,7 +657,7 @@ def _phrase(draw, lexicon):
         return _Phrase("%d-%02d-%02d" % (year, n, day), full)
     if shape == "month_day":
         normal = "--%02d-%02d" % (n, day)
-        return draw(st.sampled_from([_Phrase("%s %s" % (month, spoken), normal, "month", "day"),
+        return draw(st.sampled_from([_Phrase("%s %s" % (month, spoken), normal, None, "day"),
                                      _Phrase("%s %s" % (spoken, month), normal, None, "month")]))
     if shape == "year_month":
         normal = "%04d-%02d" % (year, n)
@@ -690,10 +692,10 @@ def test_neighbouring_dates_keep_their_own_forms(lexicon_name, data, request):
     text = first.text + joint + second.text
     # Across a joint of separators only, two readings are ambiguous, and the
     # rules of ``find_lexical_dates`` choose: a day on a month's right goes to
-    # a month after it that reads it as its left day ("May 3, June 4" gives
-    # "3, June"), and a year goes to the month before it ("May 3, 2004 June"
-    # gives "May 3, 2004").  Each side of the token that moves then reads as
-    # it does alone.
+    # a month after it that reads it as its left day and no day on its right
+    # ("May 3, June 2004" gives "3, June 2004"), and a year goes to the month
+    # before it ("May 3, 2004 June" gives "May 3, 2004").  Each side of the
+    # token that moves then reads as it does alone.
     cut = None
     if joint in (", ", " ") and first.trail == "day" and second.lead == "month":
         cut = first.text.rindex(" ") + 1

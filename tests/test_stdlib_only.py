@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import placetime
+from placetime.cli import main
 
 PACKAGE_DIR = Path(placetime.__file__).resolve().parent
 
@@ -37,3 +38,35 @@ def test_cli_import_leaves_out_network_and_xml_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
     assert proc.stdout == "[]\n"
+
+
+def _placetime_modules_imported(argv, cwd):
+    """The ``placetime.*`` modules that ``python -m placetime *argv`` imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "placetime", *argv],
+                          capture_output=True, text=True, cwd=cwd, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    assert proc.returncode == 0, proc.stderr
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")} & {
+        "placetime." + path.stem for path in PACKAGE_DIR.glob("*.py")}
+
+
+def test_each_command_imports_only_its_own_modules(tmp_path):
+    (tmp_path / "doc.txt").write_text("Signed 21 March 2001 in Paris.\n", encoding="utf-8")
+    (tmp_path / "profiles").mkdir()
+    lexicon = str(PACKAGE_DIR / "data" / "lexicons" / "en.lex")
+    assert main(["train-profile", str(tmp_path / "doc.txt"), "--lang", "en", "--encoding",
+                 "UTF-8", "--out", str(tmp_path / "profiles" / "en.prof")]) == 0
+    dates_run = _placetime_modules_imported(["dates", "doc.txt", "--lexicon", lexicon], tmp_path)
+    assert "placetime.dates" in dates_run
+    assert not dates_run & {"placetime.geotag", "placetime.gazetteer", "placetime.mapviz"}
+    identify_run = _placetime_modules_imported(["identify", "doc.txt", "--profiles", "profiles"],
+                                               tmp_path)
+    assert "placetime.langid" in identify_run
+    assert "placetime.dates" not in identify_run
+    assert main(["places", str(tmp_path / "doc.txt"), "--gazetteer",
+                 str(PACKAGE_DIR / "data" / "gazetteer" / "world_small.tsv"),
+                 "--out", str(tmp_path / "doc.jsonl")]) == 0
+    map_run = _placetime_modules_imported(["map", "doc.jsonl", "--out", "doc.svg"], tmp_path)
+    assert "placetime.mapviz" in map_run
+    assert not map_run & {"placetime.langid", "placetime.dates"}
