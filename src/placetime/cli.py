@@ -30,23 +30,17 @@ from .errors import (ConfigError, LoadError, PlacetimeError, TrainingError, chec
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def build_parser(command=None):
-    """The ``placetime`` parser: ``command``'s subparser alone, or with ``None`` all six.
+def build_parser():
+    """The full ``placetime`` parser, with every subcommand's arguments.
 
-    Once ``command`` is given, only the top-level usage line names the other
-    subcommands, and the metavar prints them there as argparse would.  The
-    ``--help`` listing and the missing- and invalid-command errors need the
-    full parser.
+    ``main`` builds it only for a command line that does not begin with a
+    subcommand, or that holds an argument the subcommand's own parser does
+    not know.
     """
     parser = argparse.ArgumentParser(prog="placetime", description=__doc__)
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{%s}" % ",".join(_COMMANDS))
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, entry in _COMMANDS.items():
-        if command is None or command == name:
-            entry.add_arguments(sub.add_parser(name, help=entry.help))
+        entry.add_arguments(sub.add_parser(name, help=entry.help))
     return parser
 
 
@@ -469,10 +463,27 @@ _COMMANDS = {
 }
 
 
+def _parse(argv):
+    """``argv`` parsed as the full parser would parse it.
+
+    A first word that names a subcommand hands it all the rest of ``argv``, so
+    that subcommand's own parser reads the rest as the full parser's subparser
+    would.  Words it leaves over are the full parser's error, whose usage
+    names every subcommand.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        parser = argparse.ArgumentParser(prog="placetime " + argv[0])
+        entry.add_arguments(parser)
+        args, unknown = parser.parse_known_args(argv[1:])
+        if not unknown:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # A first word that names a subcommand hands it all the rest of argv.
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return _COMMANDS[args.command].run(args)
     except (ConfigError, LoadError, TrainingError) as exc:

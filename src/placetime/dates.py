@@ -27,7 +27,6 @@ import functools
 import operator
 from itertools import chain, pairwise
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -107,8 +106,7 @@ class DateMatch(NamedTuple):
     resolved: NormalizedDate | None = None
 
 
-@dataclass(frozen=True)
-class DateLexicon:
+class _LexiconFields(NamedTuple):
     default_order: str
     months: dict            # surface -> 1..12
     day_ordinals: dict      # surface -> 1..31
@@ -117,6 +115,12 @@ class DateLexicon:
     relative_years: dict    # surface phrase -> year offset
     connectors: tuple       # surface phrases
     number_words: dict      # surface -> integer value (0 = join word)
+
+
+class DateLexicon(_LexiconFields):
+    """One language's date words, read by :func:`load_date_lexicon`."""
+
+    # No __slots__: the instance __dict__ holds the cached _scanner.
 
     @functools.cached_property
     def _scanner(self):

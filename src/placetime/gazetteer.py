@@ -10,20 +10,36 @@ country triggers under one first-token table for tagging.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .errors import LoadError, check_country, read_lines, tsv_records
 
 TRIGGER_KINDS = ("iso_code", "currency", "adjective", "country_name")
 
 
-@dataclass
 class Tokens:
-    """Whitespace tokens as parallel columns: stripped text, start and end offset."""
-    texts: list
-    starts: list
-    ends: list
+    """Whitespace tokens as parallel columns: stripped text, start and end offset.
+
+    A plain class, not a named tuple: its length is its number of tokens.
+    """
+
+    __slots__ = _fields = ("texts", "starts", "ends")
+
+    def __init__(self, texts, starts, ends):
+        for name, column in zip(self._fields, (texts, starts, ends)):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __eq__(self, other):
+        if type(other) is not Tokens:
+            return NotImplemented
+        return (self.texts, self.starts, self.ends) == (other.texts, other.starts, other.ends)
+
+    def __repr__(self):
+        return "Tokens(texts=%r, starts=%r, ends=%r)" % (self.texts, self.starts, self.ends)
 
     def __len__(self):
         return len(self.texts)
@@ -91,8 +107,7 @@ def tokenize(text: str) -> Tokens:
     return Tokens(keys, starts, ends)
 
 
-@dataclass(frozen=True)
-class PlaceRecord:
+class PlaceRecord(NamedTuple):
     id: int
     canonical_name: str
     variants: tuple
@@ -105,26 +120,30 @@ class PlaceRecord:
         return (self.canonical_name,) + self.variants
 
 
-@dataclass(frozen=True)
-class CountryTrigger:
+class _TriggerFields(NamedTuple):
     surface: str
     country: str
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in TRIGGER_KINDS:
-            raise ValueError("unknown trigger kind %r" % (self.kind,))
-        check_country(self.country)
+
+class CountryTrigger(_TriggerFields):
+    """A surface that names a country, of a kind in ``TRIGGER_KINDS``, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface, country, kind):
+        if kind not in TRIGGER_KINDS:
+            raise ValueError("unknown trigger kind %r" % (kind,))
+        check_country(country)
+        return tuple.__new__(cls, (surface, country, kind))
 
 
-@dataclass(frozen=True)
-class GeoStopList:
+class GeoStopList(NamedTuple):
     language: str
     words: frozenset
 
 
-@dataclass(frozen=True)
-class SpanMatch:
+class SpanMatch(NamedTuple):
     """A name at some token position: its token span and place ids, or (first trigger,)."""
     span: int
     payload: tuple

@@ -11,10 +11,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, mul
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, DecodeError, LoadError, ScoringError, TrainingError, read_lines
 
@@ -36,33 +36,49 @@ _DECIMAL = {i: text for text, i in _BYTE.items()}
 _PREFIX = itemgetter(slice(2))
 
 
-@dataclass(frozen=True, order=True)
-class LangEncLabel:
+class _LabelFields(NamedTuple):
     language: str
     encoding: str
 
-    def __post_init__(self):
+
+class LangEncLabel(_LabelFields):
+    """A language and an encoding, checked on construction; sorts as its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, language, encoding):
         if not (
-            len(self.language) == 2
-            and self.language.isascii()
-            and self.language.isalpha()
-            and self.language.islower()
+            len(language) == 2
+            and language.isascii()
+            and language.isalpha()
+            and language.islower()
         ):
-            raise ValueError("language must be a 2-letter lowercase code: %r" % (self.language,))
-        if self.encoding not in ENCODING_REGISTRY:
+            raise ValueError("language must be a 2-letter lowercase code: %r" % (language,))
+        if encoding not in ENCODING_REGISTRY:
             raise ValueError("unknown encoding %r (registry: %s)"
-                             % (self.encoding, ", ".join(sorted(ENCODING_REGISTRY))))
+                             % (encoding, ", ".join(sorted(ENCODING_REGISTRY))))
+        return tuple.__new__(cls, (language, encoding))
 
     def __str__(self):
         return "%s/%s" % (self.language, self.encoding)
 
 
-@dataclass(frozen=True)
-class LangEncProfile:
+class _ProfileFields(NamedTuple):
     label: LangEncLabel
-    bigram_counts: dict = field(default_factory=dict)
-    trigram_counts: dict = field(default_factory=dict)
-    total_bytes: int = 0
+    bigram_counts: dict
+    trigram_counts: dict
+    total_bytes: int
+
+
+class LangEncProfile(_ProfileFields):
+    """A label's byte bigram and trigram counts; each count table defaults to a new dict."""
+
+    # No __slots__: the instance __dict__ holds the cached _log_tables.
+
+    def __new__(cls, label, bigram_counts=None, trigram_counts=None, total_bytes=0):
+        return tuple.__new__(cls, (label, {} if bigram_counts is None else bigram_counts,
+                                   {} if trigram_counts is None else trigram_counts,
+                                   total_bytes))
 
     @functools.cached_property
     def _log_tables(self):
@@ -72,8 +88,7 @@ class LangEncProfile:
                 {key: math.log(1 / (b + _ALPHABET)) for key, b in bi.items()})
 
 
-@dataclass(frozen=True)
-class ScoredLabel:
+class ScoredLabel(NamedTuple):
     label: LangEncLabel
     score: float
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError, LoadError, check_country, tsv_records
 
@@ -16,22 +16,27 @@ DEFAULT_RAMP = ("#fee5d9", "#fcae91", "#fb6a4a", "#cb181d")
 NEUTRAL_FILL = "#e8e8e8"
 
 
-@dataclass(frozen=True)
-class MapStyle:
-    width: int = 1000
-    height: int = 500
+class _StyleFields(NamedTuple):
+    width: int
+    height: int
+
+
+class MapStyle(_StyleFields):
+    """The canvas size, checked on construction."""
+
+    __slots__ = ()
     # Not fields: every map uses the same colours and dot radii.
     ramp = DEFAULT_RAMP
     r_min = 2.0
     r_max = 12.0
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+    def __new__(cls, width=1000, height=500):
+        if width <= 0 or height <= 0:
             raise ValueError("canvas dimensions must be positive")
+        return tuple.__new__(cls, (width, height))
 
 
-@dataclass(frozen=True)
-class PlaceDot:
+class PlaceDot(NamedTuple):
     place_id: int
     latitude: float
     longitude: float

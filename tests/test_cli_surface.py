@@ -11,6 +11,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -184,6 +185,8 @@ USAGE_ERRORS = {
     "unknown option before command": (["--frob", "dates"], _usage("dates")
                                       + "placetime dates: error: the following arguments "
                                       "are required: PATH, --lexicon\n"),
+    "dates: unknown option": (["dates", "d.txt", "--lexicon", LEX_EN, "--bogus"], _USAGE
+                              + "placetime: error: unrecognized arguments: --bogus\n"),
     "map: bad --width": (["map", "a.jsonl", "--out", "m.svg", "--width", "x"], _usage("map")
                          + "placetime map: error: argument --width: invalid int value: "
                          "'x'\n"),
@@ -264,34 +267,37 @@ def test_usage_error(capsys, columns_80, case):
     assert capsys.readouterr() == ("", err)
 
 
-def _add_argument_calls(monkeypatch, command):
-    """How many ``add_argument`` calls ``build_parser(command)`` makes, and its parser."""
+def _add_argument_calls(build):
+    """How many ``add_argument`` calls ``build()`` makes, and what it returns."""
     calls = []
     add_argument = argparse.ArgumentParser.add_argument
 
     def counted(self, *args, **kwargs):
         calls.append(args)
         return add_argument(self, *args, **kwargs)
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
-    parser = build_parser(command)
-    monkeypatch.undo()
-    return len(calls), parser
+    with mock.patch.object(argparse.ArgumentParser, "add_argument", counted):
+        result = build()
+    return len(calls), result
 
 
 @pytest.mark.parametrize("command", VALID_ARGV)
-def test_build_parser_adds_only_the_named_arguments(monkeypatch, command):
-    full_calls, full = _add_argument_calls(monkeypatch, None)
-    calls, parser = _add_argument_calls(monkeypatch, command)
-    assert calls < full_calls
+def test_build_parser_adds_only_the_named_arguments(command):
+    """A command word gets a parser with that command's arguments alone, which parses
+    as the full parser."""
+    full_calls, full = _add_argument_calls(build_parser)
+    parsed = {name: entry._replace(run=lambda args: args) for name, entry in cli._COMMANDS.items()}
     for argv in VALID_ARGV[command]:
-        assert parser.parse_args(argv) == full.parse_args(argv)
+        with mock.patch.object(cli, "_COMMANDS", parsed):
+            calls, args = _add_argument_calls(lambda: main(argv))
+        assert calls < full_calls
+        assert args == full.parse_args(argv)
 
 
 # Every word of the valid argvs (each command, option and value), help flags,
 # abbreviated and joined options, and words that no parser knows.
 _ARGV_WORDS = sorted({word for argvs in VALID_ARGV.values() for argv in argvs for word in argv}
-                     | {"-h", "--help", "--", "-", "--lex", "--out=o.txt", "-x", "--bogus",
-                        "bogus", ""})
+                     | {"-h", "--help", "--", "-", "--lex", "--out=o.txt", "--out=p.txt",
+                        "--lang=en", "-1", "-x", "--bogus", "bogus", ""})
 
 
 def _outcome(parse, argv, capsys):
@@ -308,7 +314,11 @@ def _outcome(parse, argv, capsys):
 @given(argv=st.one_of(
     st.lists(st.sampled_from(_ARGV_WORDS), max_size=8),
     st.builds(lambda first, rest: [first, *rest], st.sampled_from(list(VALID_ARGV)),
-              st.lists(st.sampled_from(_ARGV_WORDS), max_size=8))))
+              st.lists(st.sampled_from(_ARGV_WORDS), max_size=8)),
+    # A valid command line and more words, which the command's parser may leave over.
+    st.builds(lambda valid, rest: [*valid, *rest],
+              st.sampled_from([argv for argvs in VALID_ARGV.values() for argv in argvs]),
+              st.lists(st.sampled_from(_ARGV_WORDS), max_size=4))))
 def test_main_parses_as_the_full_parser(capsys, columns_80, monkeypatch, argv):
     seen = []
     monkeypatch.setattr(cli, "_COMMANDS", {name: entry._replace(run=seen.append)
@@ -316,7 +326,7 @@ def test_main_parses_as_the_full_parser(capsys, columns_80, monkeypatch, argv):
     result, written = _outcome(main, argv, capsys)
     if result is None:
         result = seen.pop()
-    assert (result, written) == _outcome(build_parser(None).parse_args, argv, capsys)
+    assert (result, written) == _outcome(build_parser().parse_args, argv, capsys)
 
 
 @pytest.mark.parametrize("reference, code", [("2003-03-01", 0), ("2003-02-30", 2)])

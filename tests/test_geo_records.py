@@ -1,6 +1,5 @@
 """``geo`` and ``tallies`` records written by string formats against whole-dict encoding."""
 
-import dataclasses
 import string
 
 from hypothesis import given, settings
@@ -49,7 +48,7 @@ def test_geo_lines_equal_dict_encoding(places, files):
        places=st.lists(_PLACE, min_size=1, max_size=6, unique_by=lambda r: r.id),
        items=st.lists(st.tuples(_MATCH, st.integers(0, 11)), min_size=1, max_size=50))
 def test_places_standoff_equals_dict_encoding(path, countries, places, items):
-    places = [dataclasses.replace(place, country=countries[i % len(countries)])
+    places = [place._replace(country=countries[i % len(countries)])
               for i, place in enumerate(places)]
     # An even pick is a place, an odd one a trigger's country code.
     pairs = [(m, places[pick // 2 % len(places)] if pick % 2 == 0 else

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import placetime
 from placetime.cli import main
 
@@ -40,33 +42,49 @@ def test_cli_import_leaves_out_network_and_xml_modules():
     assert proc.stdout == "[]\n"
 
 
-def _placetime_modules_imported(argv, cwd):
-    """The ``placetime.*`` modules that ``python -m placetime *argv`` imports."""
+def _modules_imported(argv, cwd):
+    """The modules that ``python -m placetime *argv`` imports, as ``-X importtime`` lists them."""
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "placetime", *argv],
                           capture_output=True, text=True, cwd=cwd, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
     assert proc.returncode == 0, proc.stderr
     return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")} & {
-        "placetime." + path.stem for path in PACKAGE_DIR.glob("*.py")}
+            if line.startswith("import time:")}
 
 
-def test_each_command_imports_only_its_own_modules(tmp_path):
+@pytest.fixture(scope="module")
+def command_imports(tmp_path_factory):
+    """Command -> the modules a ``python -m placetime`` run of it imports."""
+    tmp_path = tmp_path_factory.mktemp("runs")
     (tmp_path / "doc.txt").write_text("Signed 21 March 2001 in Paris.\n", encoding="utf-8")
     (tmp_path / "profiles").mkdir()
     lexicon = str(PACKAGE_DIR / "data" / "lexicons" / "en.lex")
     assert main(["train-profile", str(tmp_path / "doc.txt"), "--lang", "en", "--encoding",
                  "UTF-8", "--out", str(tmp_path / "profiles" / "en.prof")]) == 0
-    dates_run = _placetime_modules_imported(["dates", "doc.txt", "--lexicon", lexicon], tmp_path)
-    assert "placetime.dates" in dates_run
-    assert not dates_run & {"placetime.geotag", "placetime.gazetteer", "placetime.mapviz"}
-    identify_run = _placetime_modules_imported(["identify", "doc.txt", "--profiles", "profiles"],
-                                               tmp_path)
-    assert "placetime.langid" in identify_run
-    assert "placetime.dates" not in identify_run
-    assert main(["places", str(tmp_path / "doc.txt"), "--gazetteer",
-                 str(PACKAGE_DIR / "data" / "gazetteer" / "world_small.tsv"),
-                 "--out", str(tmp_path / "doc.jsonl")]) == 0
-    map_run = _placetime_modules_imported(["map", "doc.jsonl", "--out", "doc.svg"], tmp_path)
-    assert "placetime.mapviz" in map_run
-    assert not map_run & {"placetime.langid", "placetime.dates"}
+    return {
+        "dates": _modules_imported(["dates", "doc.txt", "--lexicon", lexicon], tmp_path),
+        "identify": _modules_imported(["identify", "doc.txt", "--profiles", "profiles"],
+                                      tmp_path),
+        "places": _modules_imported(
+            ["places", "doc.txt", "--gazetteer",
+             str(PACKAGE_DIR / "data" / "gazetteer" / "world_small.tsv"), "--out", "doc.jsonl"],
+            tmp_path),
+        "map": _modules_imported(["map", "doc.jsonl", "--out", "doc.svg"], tmp_path),
+    }
+
+
+def test_each_command_imports_only_its_own_modules(command_imports):
+    runs = command_imports
+    assert "placetime.dates" in runs["dates"]
+    assert not runs["dates"] & {"placetime.geotag", "placetime.gazetteer", "placetime.mapviz"}
+    assert "placetime.langid" in runs["identify"]
+    assert "placetime.dates" not in runs["identify"]
+    assert {"placetime.gazetteer", "placetime.geotag"} <= runs["places"]
+    assert "placetime.mapviz" in runs["map"]
+    assert not runs["map"] & {"placetime.langid", "placetime.dates"}
+
+
+def test_no_command_imports_dataclasses_or_inspect(command_imports):
+    # The record classes are named tuples, so no command pays for these two at start-up.
+    assert {command: sorted(run & {"dataclasses", "inspect"})
+            for command, run in command_imports.items()} == dict.fromkeys(command_imports, [])
